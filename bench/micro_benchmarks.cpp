@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "attacks/ead.hpp"
+#include "attacks/attack.hpp"
 #include "magnet/autoencoder.hpp"
 #include "magnet/detector.hpp"
 #include "nn/activations.hpp"
@@ -161,10 +161,12 @@ void BM_AttackStep(benchmark::State& state) {
   std::vector<float> c(16, 1.0f);
   Tensor x = x0;
   Tensor shrunk;
+  attacks::ObliviousTarget target(m);
   for (auto _ : state) {
     const attacks::HingeEval eval =
-        attacks::eval_untargeted_hinge(m, x, labels, 10.0f);
-    Tensor grad = attacks::hinge_input_gradient(m, eval, labels, 10.0f, c);
+        attacks::eval_untargeted_hinge(target, x, labels, 10.0f);
+    Tensor grad =
+        attacks::hinge_input_gradient(target, x, eval, labels, 10.0f, c);
     axpy_inplace(x, -0.01f, grad);
     attacks::shrink_project(x, x0, beta, shrunk);
     std::swap(x, shrunk);
@@ -585,9 +587,11 @@ void write_attack_engine_json(const char* path) {
     for (std::size_t i = 0; i < kImages; ++i) {
       labels[i] = static_cast<int>(argmax_row(logits, i));
     }
-    attacks::ead_attack(m, x, labels, cfg);  // warmup (pool + pages)
+    const attacks::EadAttack attack(cfg);
+    attacks::ObliviousTarget target(m);
+    attack.run(target, x, labels);  // warmup (pool + pages)
     const auto t0 = std::chrono::steady_clock::now();
-    const attacks::AttackResult r = attacks::ead_attack(m, x, labels, cfg);
+    const attacks::AttackResult r = attack.run(target, x, labels);
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(r.adversarial.data());
     return std::chrono::duration<double>(t1 - t0).count();

@@ -9,10 +9,9 @@
 // Emits BENCH_threatmodel.json (gauges under threat/): per
 // attack x threat-model cell the crafting success rate and mean L1/L2
 // over successful rows, per scheme the attack success rate against the
-// defended pipeline, plus threat/oblivious_identity — 1 when the new
-// ObliviousTarget path reproduced the legacy nn::Sequential& attack path
-// bitwise for every attack (the API-redesign regression gate; ci.sh
-// asserts it).
+// defended pipeline, plus threat/oblivious_identity — 1 when every
+// cached oblivious artifact equals a fresh, uncached run over an
+// ObliviousTarget bitwise (the cache regression gate; ci.sh asserts it).
 #include <cstring>
 
 #include "bench_common.hpp"
@@ -94,15 +93,13 @@ void dataset_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
           zoo.run_attack(id, *attack, *bundle.target);
 
       if (tm == attacks::ThreatModel::Oblivious) {
-        // Regression gate: the oblivious target must reproduce the legacy
-        // nn::Sequential& path bitwise (uncached, straight through the
-        // old overload).
+        // Regression gate: the cached artifact must equal a fresh,
+        // uncached run over an ObliviousTarget on the bare classifier.
         const auto& s = zoo.attack_set(id);
-        const attacks::AttackResult legacy =
-            attack->run(*bundle.classifier, s.images, s.labels);
-        if (!bitwise_equal(r, legacy)) {
+        attacks::ObliviousTarget fresh(*bundle.classifier);
+        if (!bitwise_equal(r, attack->run(fresh, s.images, s.labels))) {
           identity = false;
-          std::printf("!! oblivious/%s diverges from the legacy path\n",
+          std::printf("!! oblivious/%s diverges from a fresh run\n",
                       name);
         }
       }
@@ -127,7 +124,7 @@ void dataset_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
     }
   }
   reg.gauge("threat/oblivious_identity").set(identity ? 1.0 : 0.0);
-  std::printf("oblivious-vs-legacy bitwise identity: %s\n",
+  std::printf("oblivious cached-vs-fresh bitwise identity: %s\n",
               identity ? "OK" : "FAILED");
 }
 

@@ -62,13 +62,13 @@ int main() {
 
   attacks::GrayBoxTarget target(*surrogate, *classifier,
                                 "_tmgray_surrogate");
-  attacks::CwL2Config gb;
+  attacks::EadConfig gb;
   gb.kappa = kappa;
   gb.iterations = cfg.attack_iterations;
   gb.binary_search_steps = cfg.binary_search_steps;
   gb.initial_c = 1.0f;
   const attacks::AttackResult graybox =
-      attacks::cw_l2_attack(target, aset.images, aset.labels, gb);
+      attacks::CwL2Attack(gb).run(target, aset.images, aset.labels);
 
   const auto scheme = magnet::DefenseScheme::Full;
   const auto e_cw =

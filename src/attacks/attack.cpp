@@ -1,8 +1,11 @@
 #include "attacks/attack.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <stdexcept>
+
+#include "obs/metrics.hpp"
 
 namespace adv::attacks {
 namespace {
@@ -22,6 +25,61 @@ std::string abort_suffix(std::size_t window, float rel_tol) {
   if (window == 0) return "";
   return "_ae" + std::to_string(window) + "x" + fmt(rel_tol);
 }
+
+// RAII recorder of one attack run's "attack/<name>/..." metrics (see
+// Attack::run); inert when obs is disabled at construction.
+class MetricsScope {
+ public:
+  MetricsScope(std::string name, std::size_t configured_iterations,
+               std::size_t image_count)
+      : active_(obs::enabled()), name_(std::move(name)) {
+    if (!active_) return;
+    auto& reg = obs::MetricsRegistry::global();
+    start_ = std::chrono::steady_clock::now();
+    forward0_ = reg.counter("model/forward_calls").value();
+    backward0_ = reg.counter("model/backward_calls").value();
+    reg.counter("attack/" + name_ + "/runs").add(1);
+    reg.counter("attack/" + name_ + "/images").add(image_count);
+    reg.counter("attack/" + name_ + "/iterations").add(configured_iterations);
+  }
+  MetricsScope(const MetricsScope&) = delete;
+  MetricsScope& operator=(const MetricsScope&) = delete;
+
+  ~MetricsScope() {
+    if (!active_) return;
+    auto& reg = obs::MetricsRegistry::global();
+    reg.timer("attack/" + name_ + "/run").record_ns(elapsed_ns());
+    reg.counter("attack/" + name_ + "/grad_queries")
+        .add(reg.counter("model/backward_calls").value() - backward0_);
+    reg.counter("attack/" + name_ + "/forward_passes")
+        .add(reg.counter("model/forward_calls").value() - forward0_);
+  }
+
+  void record_outcome(const AttackResult& result) {
+    if (!active_) return;
+    auto& reg = obs::MetricsRegistry::global();
+    const std::size_t successes = result.success_count();
+    reg.counter("attack/" + name_ + "/successes").add(successes);
+    if (successes > 0) {
+      reg.timer("attack/" + name_ + "/time_to_success")
+          .record_ns(elapsed_ns());
+    }
+  }
+
+ private:
+  std::uint64_t elapsed_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+  }
+
+  bool active_ = false;
+  std::string name_;
+  std::chrono::steady_clock::time_point start_;
+  std::uint64_t forward0_ = 0;
+  std::uint64_t backward0_ = 0;
+};
 
 }  // namespace
 
@@ -43,59 +101,21 @@ std::vector<std::string> overrides_set_fields(const AttackOverrides& o) {
   return out;
 }
 
-AttackMetricsScope::AttackMetricsScope(std::string name,
-                                       std::size_t configured_iterations,
-                                       std::size_t image_count)
-    : active_(obs::enabled()), name_(std::move(name)) {
-  if (!active_) return;
-  auto& reg = obs::MetricsRegistry::global();
-  start_ = std::chrono::steady_clock::now();
-  forward0_ = reg.counter("model/forward_calls").value();
-  backward0_ = reg.counter("model/backward_calls").value();
-  reg.counter("attack/" + name_ + "/runs").add(1);
-  reg.counter("attack/" + name_ + "/images").add(image_count);
-  reg.counter("attack/" + name_ + "/iterations").add(configured_iterations);
-}
-
-void AttackMetricsScope::record_outcome(const AttackResult& result) {
-  if (!active_) return;
-  auto& reg = obs::MetricsRegistry::global();
-  const std::size_t successes = result.success_count();
-  reg.counter("attack/" + name_ + "/successes").add(successes);
-  if (successes > 0) {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - start_);
-    reg.timer("attack/" + name_ + "/time_to_success")
-        .record_ns(static_cast<std::uint64_t>(ns.count()));
-  }
-}
-
-AttackMetricsScope::~AttackMetricsScope() {
-  if (!active_) return;
-  auto& reg = obs::MetricsRegistry::global();
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::steady_clock::now() - start_);
-  reg.timer("attack/" + name_ + "/run")
-      .record_ns(static_cast<std::uint64_t>(ns.count()));
-  reg.counter("attack/" + name_ + "/grad_queries")
-      .add(reg.counter("model/backward_calls").value() - backward0_);
-  reg.counter("attack/" + name_ + "/forward_passes")
-      .add(reg.counter("model/forward_calls").value() - forward0_);
+void Attack::metered(const Tensor& images,
+                     const std::function<const AttackResult&()>& craft) const {
+  MetricsScope scope(name(), configured_iterations(),
+                     images.rank() ? images.dim(0) : 0);
+  scope.record_outcome(craft());
 }
 
 AttackResult Attack::run(AttackTarget& target, const Tensor& images,
                          const std::vector<int>& labels) const {
-  AttackMetricsScope scope(name(), configured_iterations(),
-                           images.rank() ? images.dim(0) : 0);
-  AttackResult result = run_impl(target, images, labels);
-  scope.record_outcome(result);
+  AttackResult result;
+  metered(images, [&]() -> const AttackResult& {
+    result = run_impl(target, images, labels);
+    return result;
+  });
   return result;
-}
-
-AttackResult Attack::run(nn::Sequential& model, const Tensor& images,
-                         const std::vector<int>& labels) const {
-  ObliviousTarget target(model);
-  return run(target, images, labels);
 }
 
 std::string FgsmAttack::name() const { return name_; }
@@ -103,11 +123,6 @@ std::string FgsmAttack::name() const { return name_; }
 std::string FgsmAttack::tag() const {
   return name_ + "_e" + fmt(cfg_.epsilon) + "_i" +
          std::to_string(cfg_.iterations);
-}
-
-AttackResult FgsmAttack::run_impl(AttackTarget& target, const Tensor& images,
-                                  const std::vector<int>& labels) const {
-  return fgsm_attack(target, images, labels, cfg_);
 }
 
 std::string CwL2Attack::name() const { return "cw-l2"; }
@@ -119,23 +134,11 @@ std::string CwL2Attack::tag() const {
          abort_suffix(cfg_.abort_early_window, cfg_.abort_early_rel_tol);
 }
 
-AttackResult CwL2Attack::run_impl(AttackTarget& target,
-                                  const Tensor& images,
-                                  const std::vector<int>& labels) const {
-  return cw_l2_attack(target, images, labels, cfg_);
-}
-
 std::string DeepFoolAttack::name() const { return "deepfool"; }
 
 std::string DeepFoolAttack::tag() const {
   return "deepfool_i" + std::to_string(cfg_.max_iterations) + "_o" +
          fmt(cfg_.overshoot);
-}
-
-AttackResult DeepFoolAttack::run_impl(
-    AttackTarget& target, const Tensor& images,
-    const std::vector<int>& labels) const {
-  return deepfool_attack(target, images, labels, cfg_);
 }
 
 std::string EadAttack::name() const { return "ead"; }
@@ -150,47 +153,52 @@ std::string EadAttack::tag() const {
          abort_suffix(cfg_.abort_early_window, cfg_.abort_early_rel_tol);
 }
 
-AttackResult EadAttack::run_impl(AttackTarget& target, const Tensor& images,
-                                 const std::vector<int>& labels) const {
-  return ead_attack(target, images, labels, cfg_);
+namespace {
+
+FgsmConfig fgsm_config(const AttackOverrides& o, std::size_t iterations) {
+  FgsmConfig cfg;
+  cfg.iterations = iterations;
+  if (o.epsilon) cfg.epsilon = *o.epsilon;
+  if (o.iterations) cfg.iterations = *o.iterations;
+  if (o.compact) cfg.compact = *o.compact;
+  return cfg;
 }
+
+// Serves "ead" and "cw-l2"; the latter's field list rejects beta, rule and
+// mode before a factory runs.
+EadConfig ead_config(const AttackOverrides& o) {
+  EadConfig cfg;
+  if (o.beta) cfg.beta = *o.beta;
+  if (o.kappa) cfg.kappa = *o.kappa;
+  if (o.iterations) cfg.iterations = *o.iterations;
+  if (o.binary_search_steps) cfg.binary_search_steps = *o.binary_search_steps;
+  if (o.initial_c) cfg.initial_c = *o.initial_c;
+  if (o.learning_rate) cfg.learning_rate = *o.learning_rate;
+  if (o.rule) cfg.rule = *o.rule;
+  if (o.mode) cfg.mode = *o.mode;
+  if (o.abort_early_window) cfg.abort_early_window = *o.abort_early_window;
+  if (o.abort_early_rel_tol) cfg.abort_early_rel_tol = *o.abort_early_rel_tol;
+  if (o.compact) cfg.compact = *o.compact;
+  return cfg;
+}
+
+}  // namespace
 
 AttackRegistry::AttackRegistry() {
   const std::vector<std::string> fgsm_fields = {"epsilon", "iterations",
                                                 "compact"};
   add("fgsm", fgsm_fields, [](const AttackOverrides& o) {
-    FgsmConfig cfg;
-    if (o.epsilon) cfg.epsilon = *o.epsilon;
-    if (o.iterations) cfg.iterations = *o.iterations;
-    if (o.compact) cfg.compact = *o.compact;
-    return std::make_unique<FgsmAttack>(cfg);
+    return std::make_unique<FgsmAttack>(fgsm_config(o, 1));
   });
   add("ifgsm", fgsm_fields, [](const AttackOverrides& o) {
-    FgsmConfig cfg;
-    cfg.iterations = 10;
-    if (o.epsilon) cfg.epsilon = *o.epsilon;
-    if (o.iterations) cfg.iterations = *o.iterations;
-    if (o.compact) cfg.compact = *o.compact;
-    return std::make_unique<FgsmAttack>(cfg, "ifgsm");
+    return std::make_unique<FgsmAttack>(fgsm_config(o, 10), "ifgsm");
   });
   add("cw-l2",
       {"kappa", "iterations", "binary_search_steps", "initial_c",
        "learning_rate", "abort_early_window", "abort_early_rel_tol",
        "compact"},
       [](const AttackOverrides& o) {
-        CwL2Config cfg;
-        if (o.kappa) cfg.kappa = *o.kappa;
-        if (o.iterations) cfg.iterations = *o.iterations;
-        if (o.binary_search_steps)
-          cfg.binary_search_steps = *o.binary_search_steps;
-        if (o.initial_c) cfg.initial_c = *o.initial_c;
-        if (o.learning_rate) cfg.learning_rate = *o.learning_rate;
-        if (o.abort_early_window)
-          cfg.abort_early_window = *o.abort_early_window;
-        if (o.abort_early_rel_tol)
-          cfg.abort_early_rel_tol = *o.abort_early_rel_tol;
-        if (o.compact) cfg.compact = *o.compact;
-        return std::make_unique<CwL2Attack>(cfg);
+        return std::make_unique<CwL2Attack>(ead_config(o));
       });
   add("deepfool", {"iterations", "overshoot", "compact"},
       [](const AttackOverrides& o) {
@@ -205,22 +213,7 @@ AttackRegistry::AttackRegistry() {
        "learning_rate", "rule", "mode", "abort_early_window",
        "abort_early_rel_tol", "compact"},
       [](const AttackOverrides& o) {
-        EadConfig cfg;
-        if (o.beta) cfg.beta = *o.beta;
-        if (o.kappa) cfg.kappa = *o.kappa;
-        if (o.iterations) cfg.iterations = *o.iterations;
-        if (o.binary_search_steps)
-          cfg.binary_search_steps = *o.binary_search_steps;
-        if (o.initial_c) cfg.initial_c = *o.initial_c;
-        if (o.learning_rate) cfg.learning_rate = *o.learning_rate;
-        if (o.rule) cfg.rule = *o.rule;
-        if (o.mode) cfg.mode = *o.mode;
-        if (o.abort_early_window)
-          cfg.abort_early_window = *o.abort_early_window;
-        if (o.abort_early_rel_tol)
-          cfg.abort_early_rel_tol = *o.abort_early_rel_tol;
-        if (o.compact) cfg.compact = *o.compact;
-        return std::make_unique<EadAttack>(cfg);
+        return std::make_unique<EadAttack>(ead_config(o));
       });
 }
 
@@ -231,18 +224,6 @@ AttackRegistry& AttackRegistry::instance() {
   return registry;
 }
 
-void AttackRegistry::add(const std::string& name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("AttackRegistry::add: null factory for '" +
-                                name + "'");
-  }
-  Entry entry{std::move(factory), {}, /*strict=*/false};
-  if (!factories_.emplace(name, std::move(entry)).second) {
-    throw std::invalid_argument("AttackRegistry::add: duplicate attack '" +
-                                name + "'");
-  }
-}
-
 void AttackRegistry::add(const std::string& name,
                          std::vector<std::string> relevant_fields,
                          Factory factory) {
@@ -250,8 +231,7 @@ void AttackRegistry::add(const std::string& name,
     throw std::invalid_argument("AttackRegistry::add: null factory for '" +
                                 name + "'");
   }
-  Entry entry{std::move(factory), std::move(relevant_fields),
-              /*strict=*/true};
+  Entry entry{std::move(factory), std::move(relevant_fields)};
   if (!factories_.emplace(name, std::move(entry)).second) {
     throw std::invalid_argument("AttackRegistry::add: duplicate attack '" +
                                 name + "'");
@@ -271,20 +251,17 @@ std::unique_ptr<Attack> AttackRegistry::create(
                                 "' (registered: " + known + ")");
   }
   const Entry& entry = it->second;
-  if (entry.strict) {
-    for (const std::string& field : overrides_set_fields(overrides)) {
-      if (std::find(entry.relevant.begin(), entry.relevant.end(), field) ==
-          entry.relevant.end()) {
-        if (obs::enabled()) {
-          obs::MetricsRegistry::global()
-              .counter("attack/overrides_rejected")
-              .add(1);
-        }
-        throw std::invalid_argument(
-            "AttackRegistry: override field '" + field +
-            "' is not consumed by attack '" + name +
-            "' (it would be silently ignored)");
+  for (const std::string& field : overrides_set_fields(overrides)) {
+    if (std::find(entry.relevant.begin(), entry.relevant.end(), field) ==
+        entry.relevant.end()) {
+      if (obs::enabled()) {
+        obs::MetricsRegistry::global()
+            .counter("attack/overrides_rejected")
+            .add(1);
       }
+      throw std::invalid_argument("AttackRegistry: override field '" + field +
+                                  "' is not consumed by attack '" + name +
+                                  "' (it would be silently ignored)");
     }
   }
   return entry.factory(overrides);

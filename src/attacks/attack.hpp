@@ -1,29 +1,24 @@
-// Unified attack API: a polymorphic Attack interface over the free-function
-// attack implementations, plus a string-keyed registry so experiment
-// drivers can select attacks by name ("fgsm", "ifgsm", "cw-l2", "deepfool",
-// "ead") instead of hard-wiring one entry point per algorithm.
-//
-// Adapters are thin: each wraps a legacy config struct and forwards run()
-// to the corresponding free function, so a registry-built attack produces
-// results identical to a direct call. Attacks run against an AttackTarget
-// (attacks/target.hpp) — the threat-model seam; the nn::Sequential&
-// overload is the oblivious special case and routes through an
-// ObliviousTarget (bitwise-identical results).
+// Attack API: the one way to run an attack. An Attack — built by name
+// through the string-keyed registry ("fgsm", "ifgsm", "cw-l2",
+// "deepfool", "ead") or constructed from its config — crafts adversarial
+// examples with run() against an AttackTarget (attacks/target.hpp), the
+// threat-model seam. The paper's oblivious setting is an ObliviousTarget
+// over the bare classifier; gray-box and detector-aware targets reach the
+// defended pipeline through the same call.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "attacks/cw.hpp"
 #include "attacks/deepfool.hpp"
+#include "attacks/ead.hpp"
 #include "attacks/fgsm.hpp"
 #include "attacks/target.hpp"
-#include "obs/metrics.hpp"
 
 namespace adv::attacks {
 
@@ -55,37 +50,6 @@ struct AttackOverrides {
 /// attack's relevant-field list.
 std::vector<std::string> overrides_set_fields(const AttackOverrides& o);
 
-/// RAII metrics recorder for one attack run. When obs::enabled() at
-/// construction, records under "attack/<name>/...":
-///   runs, images, iterations (configured budget), grad_queries and
-///   forward_passes (deltas of the Sequential model/_calls counters over
-///   the scope), successes, a "run" wall-time timer, and — via
-///   record_outcome on a successful result — a "time_to_success" timer
-///   (wall time until the attack produced its successful examples).
-/// Attack::run applies it automatically; direct callers of the free
-/// attack functions (e.g. ModelZoo's shared-run EAD path) instantiate it
-/// themselves.
-class AttackMetricsScope {
- public:
-  AttackMetricsScope(std::string name, std::size_t configured_iterations,
-                     std::size_t image_count);
-  AttackMetricsScope(const AttackMetricsScope&) = delete;
-  AttackMetricsScope& operator=(const AttackMetricsScope&) = delete;
-  ~AttackMetricsScope();
-
-  /// Adds success statistics; call once per produced result (the shared
-  /// EAD run records the outcome of one decision rule only, since the
-  /// rules share success flags).
-  void record_outcome(const AttackResult& result);
-
- private:
-  bool active_ = false;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
-  std::uint64_t forward0_ = 0;
-  std::uint64_t backward0_ = 0;
-};
-
 /// Polymorphic attack: craft adversarial examples for `images` against an
 /// AttackTarget (oblivious / gray-box / detector-aware). In untargeted
 /// mode `labels` are the true labels; in targeted mode they are the
@@ -107,25 +71,31 @@ class Attack {
   /// notion does not apply). Feeds the "attack/<name>/iterations" metric.
   virtual std::size_t configured_iterations() const { return 0; }
 
-  /// Template method: wraps run_impl in an AttackMetricsScope so every
-  /// registry-built attack reports iterations, gradient queries and
-  /// time-to-success uniformly. Results are identical to calling the
-  /// underlying free function directly.
+  /// Crafts adversarial examples for `images` against `target`. When
+  /// obs::enabled(), records under "attack/<name()>/...": runs, images,
+  /// iterations (configured budget), grad_queries and forward_passes
+  /// (deltas of the Sequential model/_calls counters over the run),
+  /// successes, a "run" wall-time timer and, when any row succeeded, a
+  /// "time_to_success" timer.
   AttackResult run(AttackTarget& target, const Tensor& images,
-                   const std::vector<int>& labels) const;
-
-  /// Oblivious convenience overload (the pre-AttackTarget API): runs
-  /// against an ObliviousTarget over `model`, bitwise-identical to the
-  /// old direct-Sequential path.
-  AttackResult run(nn::Sequential& model, const Tensor& images,
                    const std::vector<int>& labels) const;
 
  protected:
   /// The algorithm itself; subclasses implement this instead of run().
   virtual AttackResult run_impl(AttackTarget& target, const Tensor& images,
                                 const std::vector<int>& labels) const = 0;
+
+  /// Runs `craft` inside the metrics scope run() opens, recording the
+  /// successes of the result `craft` returns. For entry points that
+  /// produce more than one result from a single run.
+  void metered(const Tensor& images,
+               const std::function<const AttackResult&()>& craft) const;
 };
 
+/// Untargeted (I-)FGSM: ascends the cross-entropy loss of the true label
+/// through the target. On detector-aware targets the auxiliary detector
+/// penalty is descended alongside (the sign step follows the combined
+/// gradient) and success additionally requires evading the detectors.
 class FgsmAttack final : public Attack {
  public:
   /// `name` distinguishes the registry's single-step "fgsm" from the
@@ -138,7 +108,6 @@ class FgsmAttack final : public Attack {
   std::size_t configured_iterations() const override {
     return cfg_.iterations;
   }
-  FgsmConfig& config() { return cfg_; }
   const FgsmConfig& config() const { return cfg_; }
 
  protected:
@@ -150,25 +119,36 @@ class FgsmAttack final : public Attack {
   std::string name_;
 };
 
+/// Carlini & Wagner's L2 attack (S&P'17) as the beta = 0 special case of
+/// EAD (the reproduced paper's §II-B): with beta = 0 the shrinkage
+/// operator degenerates to the box projection and the objective is
+/// c*f(x) + ||x - x0||_2^2. Detector-aware behaviour is EAD's.
 class CwL2Attack final : public Attack {
  public:
-  explicit CwL2Attack(CwL2Config cfg = {}) : cfg_(cfg) {}
+  /// Forces beta = 0, the L2 decision rule, plain ISTA, untargeted mode
+  /// and the "cw-l2" metrics name; the remaining fields (kappa, the
+  /// iteration/search budget, initial c, learning rate and the engine
+  /// knobs) are C&W's.
+  explicit CwL2Attack(EadConfig cfg = {});
   std::string name() const override;
   std::string tag() const override;
   std::size_t configured_iterations() const override {
     return cfg_.iterations;
   }
-  CwL2Config& config() { return cfg_; }
-  const CwL2Config& config() const { return cfg_; }
+  const EadConfig& config() const { return cfg_; }
 
  protected:
   AttackResult run_impl(AttackTarget& target, const Tensor& images,
                         const std::vector<int>& labels) const override;
 
  private:
-  CwL2Config cfg_;
+  EadConfig cfg_;
 };
 
+/// DeepFool. The linearized boundary search has no loss term to fold a
+/// detector penalty into, so auxiliary objective terms on detector-aware
+/// targets only tighten the success criterion (the crafted example must
+/// evade the detector bank), not the geometry of the steps.
 class DeepFoolAttack final : public Attack {
  public:
   explicit DeepFoolAttack(DeepFoolConfig cfg = {}) : cfg_(cfg) {}
@@ -177,7 +157,6 @@ class DeepFoolAttack final : public Attack {
   std::size_t configured_iterations() const override {
     return cfg_.max_iterations;
   }
-  DeepFoolConfig& config() { return cfg_; }
   const DeepFoolConfig& config() const { return cfg_; }
 
  protected:
@@ -188,16 +167,33 @@ class DeepFoolAttack final : public Attack {
   DeepFoolConfig cfg_;
 };
 
+/// Batched EAD (attacks/ead.hpp). In untargeted mode `labels` are the true
+/// labels of `images` (every image is assumed correctly classified — the
+/// paper attacks only such images); in targeted mode they are the attack
+/// targets. On detector-aware targets the c-weighted detector penalty
+/// joins the objective (the Carlini–Wagner detector-evasion formulation)
+/// and a candidate only counts as successful when it also evades the
+/// detector bank.
 class EadAttack final : public Attack {
  public:
-  explicit EadAttack(EadConfig cfg = {}) : cfg_(cfg) {}
+  explicit EadAttack(EadConfig cfg = {}) : cfg_(std::move(cfg)) {}
   std::string name() const override;
   std::string tag() const override;
   std::size_t configured_iterations() const override {
     return cfg_.iterations;
   }
-  EadConfig& config() { return cfg_; }
   const EadConfig& config() const { return cfg_; }
+
+  /// One optimization run that selects the best successful iterate under
+  /// EVERY rule in `rules` (config().rule is ignored); result i
+  /// corresponds to rules[i]. The paper reports the EN and L1 rules for
+  /// identical settings, so sharing one run halves attack compute.
+  /// Metrics as run(), recording the successes of rules[0] (the rules
+  /// share success flags).
+  std::vector<AttackResult> run_rules(
+      AttackTarget& target, const Tensor& images,
+      const std::vector<int>& labels,
+      std::span<const DecisionRule> rules) const;
 
  protected:
   AttackResult run_impl(AttackTarget& target, const Tensor& images,
@@ -218,14 +214,10 @@ class AttackRegistry {
   /// Process-wide registry with the built-ins pre-registered.
   static AttackRegistry& instance();
 
-  /// Registers a factory that consumes every AttackOverrides field
-  /// (create() then checks nothing). Throws std::invalid_argument on a
-  /// duplicate name.
-  void add(const std::string& name, Factory factory);
-
   /// Registers a factory together with the override fields it consumes
   /// (names as in AttackOverrides; see overrides_set_fields). create()
-  /// rejects overrides that set any other field.
+  /// rejects overrides that set any other field. Throws
+  /// std::invalid_argument on a null factory or a duplicate name.
   void add(const std::string& name, std::vector<std::string> relevant_fields,
            Factory factory);
 
@@ -244,8 +236,7 @@ class AttackRegistry {
  private:
   struct Entry {
     Factory factory;
-    std::vector<std::string> relevant;  // empty + !strict: accepts all
-    bool strict = false;
+    std::vector<std::string> relevant;
   };
 
   AttackRegistry();

@@ -32,9 +32,7 @@ float mean_over_success(const std::vector<float>& values,
   return n ? static_cast<float>(acc / static_cast<double>(n)) : 0.0f;
 }
 
-// Hinge statistics from logits already stored in `out`. Shared by the
-// Sequential and AttackTarget entry points so both compute bit-identical
-// margins/f from identical logits.
+// Hinge statistics from logits already stored in `out`.
 void fill_hinge_stats(HingeEval& out, const std::vector<int>& labels,
                       float kappa, HingeMode mode) {
   const std::size_t n = out.logits.dim(0), k = out.logits.dim(1);
@@ -58,7 +56,7 @@ void fill_hinge_stats(HingeEval& out, const std::vector<int>& labels,
   }
 }
 
-// Logit-space seed of sum_i weight[i] * f_i (shared by both entry points).
+// Logit-space seed of sum_i weight[i] * f_i.
 Tensor hinge_seed(const HingeEval& eval, const std::vector<int>& labels,
                   float kappa, const std::vector<float>& weight,
                   HingeMode mode) {
@@ -107,29 +105,10 @@ HingeEval eval_attack_hinge(AttackTarget& target, const Tensor& batch,
   return out;
 }
 
-HingeEval eval_attack_hinge(nn::Sequential& model, const Tensor& batch,
-                            const std::vector<int>& labels, float kappa,
-                            HingeMode mode, nn::Mode forward_mode) {
-  if (batch.dim(0) != labels.size()) {
-    throw std::invalid_argument("eval_attack_hinge: batch/label mismatch");
-  }
-  HingeEval out;
-  out.logits = model.forward(batch, forward_mode);
-  fill_hinge_stats(out, labels, kappa, mode);
-  return out;
-}
-
 HingeEval eval_untargeted_hinge(AttackTarget& target, const Tensor& batch,
                                 const std::vector<int>& labels, float kappa,
                                 nn::Mode forward_mode) {
   return eval_attack_hinge(target, batch, labels, kappa,
-                           HingeMode::Untargeted, forward_mode);
-}
-
-HingeEval eval_untargeted_hinge(nn::Sequential& model, const Tensor& batch,
-                                const std::vector<int>& labels, float kappa,
-                                nn::Mode forward_mode) {
-  return eval_attack_hinge(model, batch, labels, kappa,
                            HingeMode::Untargeted, forward_mode);
 }
 
@@ -143,28 +122,12 @@ Tensor attack_hinge_input_gradient(AttackTarget& target, const Tensor& batch,
                            hinge_seed(eval, labels, kappa, weight, mode));
 }
 
-Tensor attack_hinge_input_gradient(nn::Sequential& model,
-                                   const HingeEval& eval,
-                                   const std::vector<int>& labels,
-                                   float kappa,
-                                   const std::vector<float>& weight,
-                                   HingeMode mode) {
-  return model.backward(hinge_seed(eval, labels, kappa, weight, mode));
-}
-
 Tensor hinge_input_gradient(AttackTarget& target, const Tensor& batch,
                             const HingeEval& eval,
                             const std::vector<int>& labels, float kappa,
                             const std::vector<float>& weight) {
   return attack_hinge_input_gradient(target, batch, eval, labels, kappa,
                                      weight, HingeMode::Untargeted);
-}
-
-Tensor hinge_input_gradient(nn::Sequential& model, const HingeEval& eval,
-                            const std::vector<int>& labels, float kappa,
-                            const std::vector<float>& weight) {
-  return attack_hinge_input_gradient(model, eval, labels, kappa, weight,
-                                     HingeMode::Untargeted);
 }
 
 bool attack_succeeded(float margin, float kappa) { return margin >= kappa; }

@@ -1,4 +1,4 @@
-#include "attacks/deepfool.hpp"
+#include "attacks/attack.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -10,11 +10,11 @@
 
 namespace adv::attacks {
 
-AttackResult deepfool_attack(AttackTarget& target, const Tensor& images,
-                             const std::vector<int>& labels,
-                             const DeepFoolConfig& cfg) {
+AttackResult DeepFoolAttack::run_impl(AttackTarget& target,
+                                      const Tensor& images,
+                                      const std::vector<int>& labels) const {
   if (images.dim(0) != labels.size()) {
-    throw std::invalid_argument("deepfool_attack: image/label count mismatch");
+    throw std::invalid_argument("DeepFoolAttack: image/label count mismatch");
   }
   const std::size_t n = images.dim(0);
   const std::size_t row = images.numel() / n;
@@ -24,8 +24,8 @@ AttackResult deepfool_attack(AttackTarget& target, const Tensor& images,
   EngineStats stats;
 
   for (std::size_t iter = 0;
-       iter < cfg.max_iterations && !rows.none_active(); ++iter) {
-    const CompactPlan plan(rows, cfg.compact);
+       iter < cfg_.max_iterations && !rows.none_active(); ++iter) {
+    const CompactPlan plan(rows, cfg_.compact);
     const std::size_t na = plan.active();
     Tensor x_g;
     const Tensor& xcur = plan.pick(x, x_g);
@@ -95,7 +95,7 @@ AttackResult deepfool_attack(AttackTarget& target, const Tensor& images,
           }
         }
         if (best_j == k) continue;  // degenerate gradients; skip this sample
-        const float scale = (1.0f + cfg.overshoot) * std::fabs(best_fj) /
+        const float scale = (1.0f + cfg_.overshoot) * std::fabs(best_fj) /
                             static_cast<float>(best_wnorm2);
         float* px = x.data() + g * row;
         const float* gj = grads[best_j].data() + loc * row;
@@ -142,13 +142,6 @@ AttackResult deepfool_attack(AttackTarget& target, const Tensor& images,
   }
   fill_distortions(result, images);
   return result;
-}
-
-AttackResult deepfool_attack(nn::Sequential& model, const Tensor& images,
-                             const std::vector<int>& labels,
-                             const DeepFoolConfig& cfg) {
-  ObliviousTarget target(model);
-  return deepfool_attack(target, images, labels, cfg);
 }
 
 }  // namespace adv::attacks

@@ -1,6 +1,6 @@
 // DeepFool (Moosavi-Dezfooli et al., CVPR'16): iterative minimal-L2
 // untargeted attack; another baseline the paper lists among attacks MagNet
-// defends.
+// defends. The attack runs as attacks::DeepFoolAttack (attacks/attack.hpp).
 #pragma once
 
 #include "attacks/common.hpp"
@@ -15,19 +15,5 @@ struct DeepFoolConfig {
   // K per-class backwards. Output-identical on or off.
   bool compact = true;
 };
-
-/// DeepFool against `target`. The linearized boundary search has no loss
-/// term to fold a detector penalty into, so auxiliary objective terms on
-/// detector-aware targets only tighten the success criterion (the crafted
-/// example must evade the detector bank), not the geometry of the steps.
-AttackResult deepfool_attack(AttackTarget& target, const Tensor& images,
-                             const std::vector<int>& labels,
-                             const DeepFoolConfig& cfg);
-
-/// Oblivious-threat-model wrapper: identical to running against an
-/// ObliviousTarget over `model`.
-AttackResult deepfool_attack(nn::Sequential& model, const Tensor& images,
-                             const std::vector<int>& labels,
-                             const DeepFoolConfig& cfg);
 
 }  // namespace adv::attacks

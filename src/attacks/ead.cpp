@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "attacks/attack.hpp"
 #include "attacks/engine.hpp"
 #include "attacks/fused.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -73,21 +74,22 @@ float elastic_distance(float beta, const float* adv, const float* nat,
   return static_cast<float>(acc2 + beta * acc1);
 }
 
-}  // namespace
-
-std::vector<AttackResult> ead_attack_multi(
-    AttackTarget& target, const Tensor& images,
-    const std::vector<int>& labels, const EadConfig& cfg,
-    std::span<const DecisionRule> rules) {
+/// The EAD optimization behind EadAttack and CwL2Attack: one run that
+/// selects the best successful iterate under every rule in `rules`
+/// (cfg.rule is ignored). Result i corresponds to rules[i].
+std::vector<AttackResult> optimize(AttackTarget& target, const Tensor& images,
+                                   const std::vector<int>& labels,
+                                   const EadConfig& cfg,
+                                   std::span<const DecisionRule> rules) {
   if (images.rank() == 0 || images.dim(0) != labels.size()) {
-    throw std::invalid_argument("ead_attack: image/label count mismatch");
+    throw std::invalid_argument("EadAttack: image/label count mismatch");
   }
   if (cfg.iterations == 0 || cfg.binary_search_steps == 0) {
     throw std::invalid_argument(
-        "ead_attack: iterations and search steps must be > 0");
+        "EadAttack: iterations and search steps must be > 0");
   }
   if (rules.empty()) {
-    throw std::invalid_argument("ead_attack_multi: no decision rules");
+    throw std::invalid_argument("EadAttack: no decision rules");
   }
   const std::size_t n = images.dim(0);
   const std::size_t row = images.numel() / n;
@@ -267,28 +269,38 @@ std::vector<AttackResult> ead_attack_multi(
   return results;
 }
 
-std::vector<AttackResult> ead_attack_multi(
-    nn::Sequential& model, const Tensor& images,
-    const std::vector<int>& labels, const EadConfig& cfg,
-    std::span<const DecisionRule> rules) {
-  ObliviousTarget target(model);
-  return ead_attack_multi(target, images, labels, cfg, rules);
+}  // namespace
+
+std::vector<AttackResult> EadAttack::run_rules(
+    AttackTarget& target, const Tensor& images,
+    const std::vector<int>& labels,
+    std::span<const DecisionRule> rules) const {
+  std::vector<AttackResult> results;
+  metered(images, [&]() -> const AttackResult& {
+    results = optimize(target, images, labels, cfg_, rules);
+    return results.front();
+  });
+  return results;
 }
 
-AttackResult ead_attack(AttackTarget& target, const Tensor& images,
-                        const std::vector<int>& labels,
-                        const EadConfig& cfg) {
-  const DecisionRule rules[1] = {cfg.rule};
-  std::vector<AttackResult> results =
-      ead_attack_multi(target, images, labels, cfg, rules);
-  return std::move(results.front());
+AttackResult EadAttack::run_impl(AttackTarget& target, const Tensor& images,
+                                 const std::vector<int>& labels) const {
+  const DecisionRule rules[1] = {cfg_.rule};
+  return std::move(optimize(target, images, labels, cfg_, rules).front());
 }
 
-AttackResult ead_attack(nn::Sequential& model, const Tensor& images,
-                        const std::vector<int>& labels,
-                        const EadConfig& cfg) {
-  ObliviousTarget target(model);
-  return ead_attack(target, images, labels, cfg);
+CwL2Attack::CwL2Attack(EadConfig cfg) : cfg_(std::move(cfg)) {
+  cfg_.beta = 0.0f;  // pure L2: shrinkage becomes plain box projection
+  cfg_.rule = DecisionRule::L2;
+  cfg_.use_fista = false;
+  cfg_.mode = HingeMode::Untargeted;
+  cfg_.metrics_name = "cw-l2";
+}
+
+AttackResult CwL2Attack::run_impl(AttackTarget& target, const Tensor& images,
+                                  const std::vector<int>& labels) const {
+  const DecisionRule rules[1] = {cfg_.rule};
+  return std::move(optimize(target, images, labels, cfg_, rules).front());
 }
 
 }  // namespace adv::attacks

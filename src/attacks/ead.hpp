@@ -8,11 +8,12 @@
 // momentum term (the reference implementation's default), per-image binary
 // search over c, and the EN / L1 decision rules for selecting the final
 // adversarial example. C&W's L2 attack is the beta = 0 special case.
+//
+// The attack itself runs as attacks::EadAttack / attacks::CwL2Attack
+// (attacks/attack.hpp); this header holds its configuration.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
+#include <string>
 
 #include "attacks/common.hpp"
 
@@ -53,39 +54,9 @@ struct EadConfig {
   // independent), so this is on by default; off is the benchmark baseline.
   bool compact = true;
   // Name under which engine/observability counters are recorded
-  // ("attack/<metrics_name>/..."). The C&W-L2 wrapper sets "cw-l2".
+  // ("attack/<metrics_name>/..."). CwL2Attack sets "cw-l2".
   std::string metrics_name = "ead";
 };
-
-/// Runs batched EAD against `target` (logit outputs). In untargeted mode
-/// `labels` are the true labels of `images` (every image is assumed
-/// correctly classified — the paper attacks only such images); in
-/// targeted mode they are the attack targets. On detector-aware targets
-/// the c-weighted detector penalty joins the objective (the
-/// Carlini–Wagner detector-evasion formulation) and a candidate only
-/// counts as successful when it also evades the detector bank.
-AttackResult ead_attack(AttackTarget& target, const Tensor& images,
-                        const std::vector<int>& labels, const EadConfig& cfg);
-
-/// Oblivious-threat-model wrapper: identical to running against an
-/// ObliviousTarget over `model`.
-AttackResult ead_attack(nn::Sequential& model, const Tensor& images,
-                        const std::vector<int>& labels, const EadConfig& cfg);
-
-/// Same optimization run, but selects the best successful iterate under
-/// EVERY rule in `rules` simultaneously (cfg.rule is ignored). The paper
-/// reports the EN and L1 decision rules for identical attack settings, so
-/// sharing one run halves attack compute. Result i corresponds to rules[i].
-std::vector<AttackResult> ead_attack_multi(AttackTarget& target,
-                                           const Tensor& images,
-                                           const std::vector<int>& labels,
-                                           const EadConfig& cfg,
-                                           std::span<const DecisionRule> rules);
-std::vector<AttackResult> ead_attack_multi(nn::Sequential& model,
-                                           const Tensor& images,
-                                           const std::vector<int>& labels,
-                                           const EadConfig& cfg,
-                                           std::span<const DecisionRule> rules);
 
 /// The pixel-wise projected shrinkage-thresholding operator S_beta
 /// (paper eq. (5)), applied elementwise relative to the natural image x0.

@@ -1,4 +1,4 @@
-#include "attacks/fgsm.hpp"
+#include "attacks/attack.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -11,18 +11,17 @@
 
 namespace adv::attacks {
 
-AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
-                         const std::vector<int>& labels,
-                         const FgsmConfig& cfg) {
+AttackResult FgsmAttack::run_impl(AttackTarget& target, const Tensor& images,
+                                  const std::vector<int>& labels) const {
   if (images.dim(0) != labels.size()) {
-    throw std::invalid_argument("fgsm_attack: image/label count mismatch");
+    throw std::invalid_argument("FgsmAttack: image/label count mismatch");
   }
-  if (cfg.iterations == 0) {
-    throw std::invalid_argument("fgsm_attack: iterations must be > 0");
+  if (cfg_.iterations == 0) {
+    throw std::invalid_argument("FgsmAttack: iterations must be > 0");
   }
   const std::size_t n = images.dim(0);
   const std::size_t row = images.numel() / n;
-  const float step = cfg.epsilon / static_cast<float>(cfg.iterations);
+  const float step = cfg_.epsilon / static_cast<float>(cfg_.iterations);
 
   Tensor x = images;
   nn::SoftmaxCrossEntropy loss;
@@ -30,8 +29,8 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
   EngineStats stats;
   std::vector<std::size_t> to_retire;
   std::vector<float> aux_w;
-  for (std::size_t k = 0; k < cfg.iterations && !rows.none_active(); ++k) {
-    const CompactPlan plan(rows, cfg.compact);
+  for (std::size_t k = 0; k < cfg_.iterations && !rows.none_active(); ++k) {
+    const CompactPlan plan(rows, cfg_.compact);
     const std::size_t na = plan.active();
     Tensor x_g;
     std::vector<int> lab_g;
@@ -65,7 +64,7 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
       const std::size_t loc = plan.loc(a);
       if (!fused_sign_step(x.data() + g * row, grad.data() + loc * row,
                            images.data() + g * row, row, step,
-                           cfg.epsilon)) {
+                           cfg_.epsilon)) {
         to_retire.push_back(g);
       }
     }
@@ -74,7 +73,7 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
       ++stats.rows_retired;
     }
   }
-  stats.flush(cfg.iterations > 1 ? "ifgsm" : "fgsm");
+  stats.flush(cfg_.iterations > 1 ? "ifgsm" : "fgsm");
 
   AttackResult result;
   result.adversarial = x;
@@ -100,13 +99,6 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
   }
   fill_distortions(result, images);
   return result;
-}
-
-AttackResult fgsm_attack(nn::Sequential& model, const Tensor& images,
-                         const std::vector<int>& labels,
-                         const FgsmConfig& cfg) {
-  ObliviousTarget target(model);
-  return fgsm_attack(target, images, labels, cfg);
 }
 
 }  // namespace adv::attacks

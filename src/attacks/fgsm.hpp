@@ -1,5 +1,6 @@
 // FGSM and iterative FGSM (Goodfellow et al.'15; Kurakin et al.'16) —
-// L-infinity baselines the paper cites as attacks MagNet defends.
+// L-infinity baselines the paper cites as attacks MagNet defends. The
+// attack runs as attacks::FgsmAttack (attacks/attack.hpp).
 #pragma once
 
 #include "attacks/common.hpp"
@@ -16,19 +17,5 @@ struct FgsmConfig {
   // Output-identical on or off.
   bool compact = true;
 };
-
-/// Untargeted (I-)FGSM: ascend the cross-entropy loss of the true label
-/// through `target`. On detector-aware targets the auxiliary detector
-/// penalty is descended alongside (the sign step follows the combined
-/// gradient) and success additionally requires evading the detectors.
-AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
-                         const std::vector<int>& labels,
-                         const FgsmConfig& cfg);
-
-/// Oblivious-threat-model wrapper: identical to running against an
-/// ObliviousTarget over `model`.
-AttackResult fgsm_attack(nn::Sequential& model, const Tensor& images,
-                         const std::vector<int>& labels,
-                         const FgsmConfig& cfg);
 
 }  // namespace adv::attacks

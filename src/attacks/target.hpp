@@ -8,9 +8,9 @@
 // detector criteria folded into the objective. AttackTarget abstracts the
 // seam so one attack implementation serves all three threat models:
 //
-//   * ObliviousTarget      — wraps the bare classifier. Bitwise-identical
-//                            to the legacy nn::Sequential& path (it calls
-//                            the exact same forward/backward sequence).
+//   * ObliviousTarget      — wraps the bare classifier: logits and
+//                            input_grad are exactly its forward and
+//                            backward.
 //   * GrayBoxTarget        — logits(x) = classifier(AE(x)); input_grad
 //                            backpropagates through the classifier and
 //                            then the auto-encoder (Sequential input
@@ -111,9 +111,9 @@ class AttackTarget {
 };
 
 /// The paper's oblivious threat model: the bare (undefended) classifier.
-/// forward/backward calls are exactly the legacy nn::Sequential& path, so
-/// results are bitwise-identical to it (gated in attack_target_test and
-/// the threat-model bench).
+/// logits/input_grad are exactly the classifier's forward/backward (gated
+/// in attack_target_test; the threat-model bench re-crafts every cached
+/// oblivious artifact uncached over a fresh ObliviousTarget).
 class ObliviousTarget final : public AttackTarget {
  public:
   explicit ObliviousTarget(nn::Sequential& classifier)

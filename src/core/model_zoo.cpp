@@ -308,11 +308,27 @@ attacks::AttackResult load_attack_result(const std::filesystem::path& path) {
   return r;
 }
 
+std::string ModelZoo::attack_key(DatasetId id, const std::string& tag) const {
+  return std::string("atk_") + to_string(id) + "_" + cfg_.cache_tag() + "_" +
+         tag;
+}
+
 attacks::AttackResult ModelZoo::cached_attack(
-    const std::string& key,
-    const std::function<attacks::AttackResult()>& compute) {
+    const std::string& name, const std::vector<std::string>& keys,
+    const std::function<std::vector<attacks::AttackResult>()>& compute) {
+  const std::string& key = keys.front();
+  const auto hit = [&] {
+    if (obs::enabled()) {
+      obs::MetricsRegistry::global()
+          .counter("attack/" + name + "/cache_hits")
+          .add(1);
+    }
+  };
   auto it = attack_memo_.find(key);
-  if (it != attack_memo_.end()) return it->second;
+  if (it != attack_memo_.end()) {
+    hit();
+    return it->second;
+  }
   const auto path = attack_path_for(key);
   // A sharded worker still warm-starts from the canonical (unsharded)
   // artifact when a prior full run produced one; slicing a full result is
@@ -327,6 +343,7 @@ attacks::AttackResult ModelZoo::cached_attack(
       const IndexRange range = shard_range(total, shard_index_, shard_count_);
       attacks::AttackResult sliced = slice_attack_result(*full, range);
       save_attack_result(path, sliced);
+      hit();
       return attack_memo_.emplace(key, std::move(sliced)).first->second;
     }
   }
@@ -334,14 +351,19 @@ attacks::AttackResult ModelZoo::cached_attack(
   const CacheLoad cl =
       try_load_cached(path, [&] { loaded = load_attack_result(path); });
   if (cl == CacheLoad::Hit) {
+    hit();
     return attack_memo_.emplace(key, std::move(*loaded)).first->second;
   }
-  std::printf("[zoo] crafting %s ...\n", key.c_str());
+  std::printf("[zoo] crafting %s%s ...\n", key.c_str(),
+              keys.size() > 1 ? " (+ siblings)" : "");
   std::fflush(stdout);
-  attacks::AttackResult r = compute();
-  save_attack_result(path, r);
+  std::vector<attacks::AttackResult> rs = compute();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    save_attack_result(attack_path_for(keys[i]), rs[i]);
+    attack_memo_.insert_or_assign(keys[i], std::move(rs[i]));
+  }
   note_rebuilt(cl);
-  return attack_memo_.emplace(key, std::move(r)).first->second;
+  return attack_memo_.at(key);
 }
 
 attacks::AttackResult ModelZoo::run_attack(DatasetId id,
@@ -349,41 +371,22 @@ attacks::AttackResult ModelZoo::run_attack(DatasetId id,
   // The classifier is only needed on a cache miss, so the oblivious
   // target is built inside the compute lambda — a warm cache never
   // triggers classifier training.
-  const std::string key = std::string("atk_") + to_string(id) + "_" +
-                          cfg_.cache_tag() + "_" + attack.tag();
-  bool computed = false;
-  const attacks::AttackResult& r = cached_attack(key, [&] {
-    computed = true;
+  return cached_attack(attack.name(), {attack_key(id, attack.tag())}, [&] {
     const AttackSet& s = attack_set(id);
     attacks::ObliviousTarget target(*classifier(id));
-    return attack.run(target, s.images, s.labels);
+    return std::vector{attack.run(target, s.images, s.labels)};
   });
-  if (!computed && obs::enabled()) {
-    obs::MetricsRegistry::global()
-        .counter("attack/" + attack.name() + "/cache_hits")
-        .add(1);
-  }
-  return r;
 }
 
 attacks::AttackResult ModelZoo::run_attack(DatasetId id,
                                            const attacks::Attack& attack,
                                            attacks::AttackTarget& target) {
-  const std::string key = std::string("atk_") + to_string(id) + "_" +
-                          cfg_.cache_tag() + "_" + attack.tag() +
-                          target.tag_suffix();
-  bool computed = false;
-  const attacks::AttackResult& r = cached_attack(key, [&] {
-    computed = true;
-    const AttackSet& s = attack_set(id);
-    return attack.run(target, s.images, s.labels);
-  });
-  if (!computed && obs::enabled()) {
-    obs::MetricsRegistry::global()
-        .counter("attack/" + attack.name() + "/cache_hits")
-        .add(1);
-  }
-  return r;
+  return cached_attack(
+      attack.name(), {attack_key(id, attack.tag() + target.tag_suffix())},
+      [&] {
+        const AttackSet& s = attack_set(id);
+        return std::vector{attack.run(target, s.images, s.labels)};
+      });
 }
 
 attacks::AttackOverrides ModelZoo::attack_defaults(DatasetId id) const {
@@ -403,57 +406,30 @@ attacks::AttackResult ModelZoo::cw(DatasetId id, float kappa) {
 
 attacks::AttackResult ModelZoo::ead(DatasetId id, float beta, float kappa,
                                     attacks::DecisionRule rule) {
-  auto key = [&](attacks::DecisionRule r) {
-    return std::string("atk_") + to_string(id) + "_" + cfg_.cache_tag() +
-           "_ead_b" + format_float_key(beta) + "_k" + format_float_key(kappa) +
-           "_" + attacks::to_string(r);
-  };
-  // One optimization run serves both decision rules; craft and store both
-  // on a miss.
-  const std::string want = key(rule);
-  auto hit = [] {
-    if (obs::enabled()) {
-      obs::MetricsRegistry::global().counter("attack/ead/cache_hits").add(1);
-    }
-  };
-  auto it = attack_memo_.find(want);
-  if (it != attack_memo_.end()) {
-    hit();
-    return it->second;
+  // One optimization run serves two decision rules (the paper reports EN
+  // and L1 side by side); a miss crafts and stores both.
+  const attacks::DecisionRule rules[2] = {
+      rule, rule == attacks::DecisionRule::L1 ? attacks::DecisionRule::EN
+                                              : attacks::DecisionRule::L1};
+  std::vector<std::string> keys;
+  for (const attacks::DecisionRule r : rules) {
+    keys.push_back(attack_key(id, "ead_b" + format_float_key(beta) + "_k" +
+                                      format_float_key(kappa) + "_" +
+                                      attacks::to_string(r)));
   }
-  std::optional<attacks::AttackResult> loaded;
-  const CacheLoad cl = try_load_cached(attack_path_for(want), [&] {
-    loaded = load_attack_result(attack_path_for(want));
+  return cached_attack("ead", keys, [&] {
+    attacks::EadConfig c;
+    c.beta = beta;
+    c.kappa = kappa;
+    c.iterations = cfg_.attack_iterations;
+    c.binary_search_steps = cfg_.binary_search_steps;
+    c.initial_c = cfg_.initial_c_for(id);
+    c.learning_rate = cfg_.attack_lr;
+    const AttackSet& s = attack_set(id);
+    attacks::ObliviousTarget target(*classifier(id));
+    return attacks::EadAttack(c).run_rules(target, s.images, s.labels,
+                                           rules);
   });
-  if (cl == CacheLoad::Hit) {
-    hit();
-    return attack_memo_.emplace(want, std::move(*loaded)).first->second;
-  }
-  std::printf("[zoo] crafting %s (+ sibling rule) ...\n", want.c_str());
-  std::fflush(stdout);
-  const AttackSet& s = attack_set(id);
-  attacks::EadConfig c;
-  c.beta = beta;
-  c.kappa = kappa;
-  c.iterations = cfg_.attack_iterations;
-  c.binary_search_steps = cfg_.binary_search_steps;
-  c.initial_c = cfg_.initial_c_for(id);
-  c.learning_rate = cfg_.attack_lr;
-  const attacks::DecisionRule rules[2] = {attacks::DecisionRule::EN,
-                                          attacks::DecisionRule::L1};
-  // The shared EN/L1 run bypasses Attack::run, so instrument it directly;
-  // both rules share one optimization, hence one scope and one outcome.
-  attacks::AttackMetricsScope scope("ead", c.iterations,
-                                    s.images.rank() ? s.images.dim(0) : 0);
-  std::vector<attacks::AttackResult> rs =
-      attacks::ead_attack_multi(*classifier(id), s.images, s.labels, c, rules);
-  scope.record_outcome(rs[0]);
-  for (std::size_t i = 0; i < 2; ++i) {
-    save_attack_result(attack_path_for(key(rules[i])), rs[i]);
-    attack_memo_[key(rules[i])] = rs[i];
-  }
-  note_rebuilt(cl);
-  return attack_memo_.at(want);
 }
 
 attacks::AttackResult ModelZoo::fgsm(DatasetId id, float epsilon,

@@ -20,9 +20,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "attacks/attack.hpp"
-#include "attacks/ead.hpp"
 #include "core/config.hpp"
 #include "data/dataset.hpp"
 #include "magnet/autoencoder.hpp"
@@ -112,7 +112,8 @@ class ModelZoo {
 
   // Named convenience wrappers over run_attack, kept for the bench
   // binaries. ead() additionally shares one optimization run across the
-  // EN and L1 decision rules (ead_attack_multi), which run_attack cannot.
+  // EN and L1 decision rules (EadAttack::run_rules), which run_attack
+  // cannot; its cache keys name only beta, kappa and the rule.
   attacks::AttackResult cw(DatasetId id, float kappa);
   attacks::AttackResult ead(DatasetId id, float beta, float kappa,
                             attacks::DecisionRule rule);
@@ -134,9 +135,15 @@ class ModelZoo {
   static CacheLoad try_load_cached(const std::filesystem::path& path,
                                    const std::function<void()>& do_load);
   static void note_rebuilt(CacheLoad reason);
+  /// "atk_<dataset>_<cache_tag>_<tag>".
+  std::string attack_key(DatasetId id, const std::string& tag) const;
+  /// Memo + disk cache for attack artifacts; returns keys[0]'s result.
+  /// On a miss, `compute` returns one result per key (one run may yield
+  /// sibling artifacts, e.g. EAD's EN and L1 rules) and all are stored.
+  /// Hits bump "attack/<name>/cache_hits".
   attacks::AttackResult cached_attack(
-      const std::string& key,
-      const std::function<attacks::AttackResult()>& compute);
+      const std::string& name, const std::vector<std::string>& keys,
+      const std::function<std::vector<attacks::AttackResult>()>& compute);
 
   ScaleConfig cfg_;
   std::size_t shard_index_ = 0;

@@ -62,14 +62,6 @@ class Sequential {
   /// caching contract in layer.hpp.
   Tensor forward(const Tensor& input, Mode mode = Mode::Eval);
 
-  /// Transitional overload for out-of-tree callers still passing the old
-  /// boolean `training` flag; will be removed one release after the
-  /// nn::Mode introduction.
-  [[deprecated("pass nn::Mode::Train / nn::Mode::Eval instead of a bool")]]
-  Tensor forward(const Tensor& input, bool training) {
-    return forward(input, training ? Mode::Train : Mode::Eval);
-  }
-
   /// Backpropagates d(loss)/d(output) through every layer, accumulating
   /// parameter gradients, and returns d(loss)/d(input). May be called
   /// repeatedly after one caching forward (layer caches are read-only

@@ -83,12 +83,14 @@ void ServeDaemon::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes the blocked accept(); the fd itself stays valid (and
+  // its number unreused) until the accept thread has joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   // Drain BEFORE disconnecting clients: the batcher finishes its in-flight
   // batch and sheds the queue, resolving every blocked submit().get() —
   // handlers then still hold live fds, so clients actually RECEIVE their

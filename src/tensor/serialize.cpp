@@ -115,16 +115,6 @@ Tensor read_tensor_v2(std::istream& is, std::uint32_t* file_crc) {
   return t;
 }
 
-// Legacy v1 record: rank/dims/payload, no checksum.
-Tensor read_tensor_v1(std::istream& is) {
-  const std::vector<std::size_t> dims = read_dims(is);
-  Tensor t{Shape(dims)};
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  if (!is) throw std::runtime_error("tensor stream truncated");
-  return t;
-}
-
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
@@ -206,7 +196,7 @@ std::vector<Tensor> load_tensors(const std::filesystem::path& path) {
     throw std::runtime_error("bad magic in " + path.string());
   }
   const auto version = read_pod<std::uint32_t>(is);
-  if (version != kTensorFileVersion && version != kTensorFileVersionLegacy) {
+  if (version != kTensorFileVersion) {
     throw std::runtime_error("unsupported version in " + path.string());
   }
   const auto count = read_pod<std::uint64_t>(is);
@@ -215,12 +205,6 @@ std::vector<Tensor> load_tensors(const std::filesystem::path& path) {
   }
   std::vector<Tensor> out;
   out.reserve(count);
-  if (version == kTensorFileVersionLegacy) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      out.push_back(read_tensor_v1(is));
-    }
-    return out;
-  }
   std::uint32_t file_crc = crc32(&count, sizeof(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     out.push_back(read_tensor_v2(is, &file_crc));

@@ -10,9 +10,8 @@
 // any single-byte corruption or truncation anywhere in the file is
 // detected on load. Writes go to `<path>.tmp` and are published with an
 // atomic std::filesystem::rename, so readers never observe partial files.
-//
-// Version-1 files (no checksums) written by earlier builds still load;
-// they are verified only structurally ("verified-as-legacy").
+// Any other version (including the checksum-less v1) is rejected; the
+// model zoo quarantines and rebuilds files it cannot load.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,6 @@ namespace adv {
 
 inline constexpr std::uint32_t kTensorFileMagic = 0x4144'5631;  // "ADV1"
 inline constexpr std::uint32_t kTensorFileVersion = 2;
-inline constexpr std::uint32_t kTensorFileVersionLegacy = 1;
 inline constexpr std::uint32_t kTensorFileTrailerMagic = 0x4144'5645;  // "ADVE"
 
 /// Incremental CRC32 (IEEE 802.3, reflected). Pass the previous return
@@ -49,9 +47,9 @@ Tensor read_tensor(std::istream& is);
 void save_tensors(const std::filesystem::path& path,
                   const std::vector<Tensor>& tensors);
 
-/// Reads a collection written by save_tensors — v2 with full checksum
-/// verification, or legacy v1 without. Throws std::runtime_error on
-/// missing file, bad magic/version, truncation, or any checksum mismatch.
+/// Reads a collection written by save_tensors, with full checksum
+/// verification. Throws std::runtime_error on missing file, bad
+/// magic/version, truncation, or any checksum mismatch.
 /// Failpoint site: "serialize.read" (fail).
 std::vector<Tensor> load_tensors(const std::filesystem::path& path);
 

@@ -8,12 +8,9 @@
 #include <cstring>
 #include <vector>
 
+#include "attack_test_util.hpp"
 #include "attacks/attack.hpp"
-#include "attacks/cw.hpp"
-#include "attacks/deepfool.hpp"
-#include "attacks/ead.hpp"
 #include "attacks/engine.hpp"
-#include "attacks/fgsm.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -142,14 +139,14 @@ TEST(Compaction, EadBitwiseIdentical) {
   auto [x, labels] = labeled_batch(m1, 8, 6);
 
   cfg.compact = true;
-  const AttackResult fast = ead_attack(m1, x, labels, cfg);
+  const AttackResult fast = run_oblivious(EadAttack(cfg), m1, x, labels);
   cfg.compact = false;
-  const AttackResult dense = ead_attack(m2, x, labels, cfg);
+  const AttackResult dense = run_oblivious(EadAttack(cfg), m2, x, labels);
   expect_bitwise_equal(fast, dense);
 }
 
 TEST(Compaction, CwL2BitwiseIdentical) {
-  CwL2Config cfg;
+  EadConfig cfg;
   cfg.kappa = 0.5f;
   cfg.iterations = 50;
   cfg.binary_search_steps = 3;
@@ -162,9 +159,9 @@ TEST(Compaction, CwL2BitwiseIdentical) {
   auto [x, labels] = labeled_batch(m1, 18, 6);
 
   cfg.compact = true;
-  const AttackResult fast = cw_l2_attack(m1, x, labels, cfg);
+  const AttackResult fast = run_oblivious(CwL2Attack(cfg), m1, x, labels);
   cfg.compact = false;
-  const AttackResult dense = cw_l2_attack(m2, x, labels, cfg);
+  const AttackResult dense = run_oblivious(CwL2Attack(cfg), m2, x, labels);
   expect_bitwise_equal(fast, dense);
 }
 
@@ -178,9 +175,9 @@ TEST(Compaction, IfgsmBitwiseIdentical) {
   auto [x, labels] = labeled_batch(m1, 28, 8);
 
   cfg.compact = true;
-  const AttackResult fast = fgsm_attack(m1, x, labels, cfg);
+  const AttackResult fast = run_oblivious(FgsmAttack(cfg), m1, x, labels);
   cfg.compact = false;
-  const AttackResult dense = fgsm_attack(m2, x, labels, cfg);
+  const AttackResult dense = run_oblivious(FgsmAttack(cfg), m2, x, labels);
   expect_bitwise_equal(fast, dense);
 }
 
@@ -193,9 +190,11 @@ TEST(Compaction, DeepFoolBitwiseIdentical) {
   auto [x, labels] = labeled_batch(m1, 38, 8);
 
   cfg.compact = true;
-  const AttackResult fast = deepfool_attack(m1, x, labels, cfg);
+  const AttackResult fast =
+      run_oblivious(DeepFoolAttack(cfg), m1, x, labels);
   cfg.compact = false;
-  const AttackResult dense = deepfool_attack(m2, x, labels, cfg);
+  const AttackResult dense =
+      run_oblivious(DeepFoolAttack(cfg), m2, x, labels);
   expect_bitwise_equal(fast, dense);
 }
 
@@ -214,10 +213,11 @@ TEST(EarlyAbort, NeverFlipsASuccessToFailure) {
   auto [x, labels] = labeled_batch(m1, 48, 6);
 
   cfg.abort_early_window = 0;
-  const AttackResult full = ead_attack(m1, x, labels, cfg);
+  const AttackResult full = run_oblivious(EadAttack(cfg), m1, x, labels);
   cfg.abort_early_window = 3;
   cfg.abort_early_rel_tol = 1e-3f;
-  const AttackResult aborted = ead_attack(m2, x, labels, cfg);
+  const AttackResult aborted =
+      run_oblivious(EadAttack(cfg), m2, x, labels);
 
   // The aborted run visits a prefix of the full run's iterates per row, so
   // any success it reports was also reported by the full run.
@@ -236,8 +236,7 @@ TEST(EarlyAbort, AbortKnobsChangeTheCacheTag) {
   b.abort_early_window = 5;
   EadConfig c = a;
   c.compact = !c.compact;
-  // Tags come from the adapter layer.
-  // (Constructed inline to keep this test free of the registry.)
+  // Constructed inline to keep this test free of the registry.
   const std::string ta = EadAttack(a).tag();
   const std::string tb = EadAttack(b).tag();
   const std::string tc = EadAttack(c).tag();
@@ -245,7 +244,7 @@ TEST(EarlyAbort, AbortKnobsChangeTheCacheTag) {
   EXPECT_EQ(ta, tc);
 }
 
-// --- ead_attack vs ead_attack_multi (single-rule extraction) --------------
+// --- EadAttack::run vs run_rules (single-rule extraction) ----------------
 
 TEST(EadMulti, SingleRuleMatchesMultiRuleZero) {
   EadConfig cfg;
@@ -260,10 +259,11 @@ TEST(EadMulti, SingleRuleMatchesMultiRuleZero) {
   nn::Sequential m2 = conv_classifier(57);
   auto [x, labels] = labeled_batch(m1, 58, 4);
 
-  const AttackResult single = ead_attack(m1, x, labels, cfg);
+  const AttackResult single = run_oblivious(EadAttack(cfg), m1, x, labels);
   const DecisionRule rules[2] = {DecisionRule::L1, DecisionRule::EN};
+  ObliviousTarget target(m2);
   const std::vector<AttackResult> multi =
-      ead_attack_multi(m2, x, labels, cfg, rules);
+      EadAttack(cfg).run_rules(target, x, labels, rules);
   ASSERT_EQ(multi.size(), 2u);
   expect_bitwise_equal(single, multi[0]);
 }

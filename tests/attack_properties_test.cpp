@@ -8,9 +8,8 @@
 #include <cmath>
 #include <cstring>
 
-#include "attacks/cw.hpp"
-#include "attacks/ead.hpp"
-#include "attacks/fgsm.hpp"
+#include "attack_test_util.hpp"
+#include "attacks/attack.hpp"
 #include "attacks/fused.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
@@ -60,11 +59,12 @@ TEST_P(AttackProperties, EadRespectsBoxAndConfidence) {
   cfg.iterations = 80;
   cfg.binary_search_steps = 3;
   cfg.initial_c = 1.0f;
-  const AttackResult r = ead_attack(m, x, labels, cfg);
+  const AttackResult r = run_oblivious(EadAttack(cfg), m, x, labels);
   EXPECT_GE(min_value(r.adversarial), 0.0f);
   EXPECT_LE(max_value(r.adversarial), 1.0f);
+  ObliviousTarget target(m);
   const HingeEval e =
-      eval_untargeted_hinge(m, r.adversarial, labels, cfg.kappa);
+      eval_untargeted_hinge(target, r.adversarial, labels, cfg.kappa);
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (r.success[i]) {
       EXPECT_GE(e.margin[i], cfg.kappa - 1e-3f) << "row " << i;
@@ -80,12 +80,12 @@ TEST_P(AttackProperties, DistortionGrowsWithConfidence) {
   nn::Sequential m = random_mlp(GetParam() + 11);
   auto [x, labels] = labeled_batch(m, GetParam() + 12, 8);
   auto mean_l2_at = [&](float kappa) {
-    CwL2Config cfg;
+    EadConfig cfg;
     cfg.kappa = kappa;
     cfg.iterations = 80;
     cfg.binary_search_steps = 3;
     cfg.initial_c = 1.0f;
-    const AttackResult r = cw_l2_attack(m, x, labels, cfg);
+    const AttackResult r = run_oblivious(CwL2Attack(cfg), m, x, labels);
     return r.success_count() ? r.mean_l2_over_success() : -1.0f;
   };
   const float lo = mean_l2_at(0.2f);
@@ -105,7 +105,8 @@ TEST_P(AttackProperties, EadL1RuleNeverExceedsEnRuleL1) {
   cfg.binary_search_steps = 3;
   cfg.initial_c = 1.0f;
   const DecisionRule rules[2] = {DecisionRule::EN, DecisionRule::L1};
-  const auto rs = ead_attack_multi(m, x, labels, cfg, rules);
+  ObliviousTarget target(m);
+  const auto rs = EadAttack(cfg).run_rules(target, x, labels, rules);
   for (std::size_t i = 0; i < labels.size(); ++i) {
     ASSERT_EQ(rs[0].success[i], rs[1].success[i]);
     if (rs[0].success[i]) {
@@ -121,7 +122,7 @@ TEST_P(AttackProperties, FgsmDistortionBoundedByEpsilon) {
     FgsmConfig cfg;
     cfg.epsilon = eps;
     cfg.iterations = 5;
-    const AttackResult r = fgsm_attack(m, x, labels, cfg);
+    const AttackResult r = run_oblivious(FgsmAttack(cfg), m, x, labels);
     for (const float d : r.linf) EXPECT_LE(d, eps + 1e-5f);
   }
 }
@@ -220,7 +221,7 @@ TEST_P(AttackProperties, LargerBetaNeverIncreasesSupport) {
     cfg.binary_search_steps = 3;
     cfg.initial_c = 1.0f;
     cfg.rule = DecisionRule::L1;
-    const AttackResult r = ead_attack(m, x, labels, cfg);
+    const AttackResult r = run_oblivious(EadAttack(cfg), m, x, labels);
     std::size_t touched = 0, successes = 0;
     const std::size_t row = x.numel() / x.dim(0);
     for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -282,18 +283,18 @@ TEST_P(AttackProperties, IstaStepNeverIncreasesElasticNetObjective) {
 }
 
 TEST_P(AttackProperties, BetaZeroEadReducesToCwL2) {
-  // cw_l2_attack is defined as EAD with beta = 0, the L2 decision rule
-  // and plain ISTA; an explicitly configured beta = 0 EAD run must
+  // CwL2Attack is EAD with beta = 0, the L2 decision rule and plain
+  // ISTA; an explicitly configured beta = 0 EAD run must
   // reproduce it bit for bit (same optimizer trajectory, same examples).
   nn::Sequential m = random_mlp(GetParam() + 71);
   auto [x, labels] = labeled_batch(m, GetParam() + 72, 6);
 
-  CwL2Config cw;
+  EadConfig cw;
   cw.kappa = 0.5f;
   cw.iterations = 60;
   cw.binary_search_steps = 3;
   cw.initial_c = 1.0f;
-  const AttackResult rc = cw_l2_attack(m, x, labels, cw);
+  const AttackResult rc = run_oblivious(CwL2Attack(cw), m, x, labels);
 
   EadConfig ead;
   ead.beta = 0.0f;
@@ -304,7 +305,7 @@ TEST_P(AttackProperties, BetaZeroEadReducesToCwL2) {
   ead.learning_rate = cw.learning_rate;
   ead.rule = DecisionRule::L2;
   ead.use_fista = false;
-  const AttackResult re = ead_attack(m, x, labels, ead);
+  const AttackResult re = run_oblivious(EadAttack(ead), m, x, labels);
 
   ASSERT_EQ(rc.success, re.success);
   ASSERT_EQ(rc.adversarial.numel(), re.adversarial.numel());
@@ -338,12 +339,12 @@ TEST_P(AttackProperties, AdversarialExamplesSatisfyExactBoxConstraints) {
   ecfg.iterations = 40;
   ecfg.binary_search_steps = 2;
   ecfg.initial_c = 1.0f;
-  expect_in_box(ead_attack(m, x, labels, ecfg), "ead");
+  expect_in_box(run_oblivious(EadAttack(ecfg), m, x, labels), "ead");
 
   FgsmConfig fcfg;
   fcfg.epsilon = 0.3f;  // large enough that raw steps would leave the box
   fcfg.iterations = 5;
-  expect_in_box(fgsm_attack(m, x, labels, fcfg), "ifgsm");
+  expect_in_box(run_oblivious(FgsmAttack(fcfg), m, x, labels), "ifgsm");
 
   // shrink_project itself clamps exactly even from far outside the box.
   Rng rng(GetParam() + 83);

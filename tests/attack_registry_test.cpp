@@ -1,17 +1,13 @@
-// Attack registry: by-name construction, override plumbing, and — the
-// acceptance bar for the API redesign — bit-identical AttackResults
-// between registry-built attacks and the legacy free functions on a
-// fixed-seed smoke batch.
+// Attack registry: by-name construction, override plumbing, and
+// bit-identical AttackResults between registry-built attacks and attacks
+// constructed directly from their config on a fixed-seed smoke batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 
+#include "attack_test_util.hpp"
 #include "attacks/attack.hpp"
-#include "attacks/cw.hpp"
-#include "attacks/deepfool.hpp"
-#include "attacks/ead.hpp"
-#include "attacks/fgsm.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
 #include "nn/structural.hpp"
@@ -74,21 +70,22 @@ TEST(AttackRegistry, UnknownNameThrowsAndListsRegistered) {
 
 TEST(AttackRegistry, DuplicateRegistrationThrows) {
   EXPECT_THROW(AttackRegistry::instance().add(
-                   "fgsm", [](const AttackOverrides&) {
+                   "fgsm", {}, [](const AttackOverrides&) {
                      return std::make_unique<FgsmAttack>();
                    }),
                std::invalid_argument);
 }
 
-TEST(AttackRegistry, FgsmMatchesFreeFunction) {
+TEST(AttackRegistry, FgsmMatchesConfigBuiltAttack) {
   nn::Sequential m = linear_model();
   FgsmConfig cfg;
   cfg.epsilon = 0.25f;
-  const AttackResult legacy = fgsm_attack(m, smoke_batch(), kLabels, cfg);
+  const AttackResult direct =
+      run_oblivious(FgsmAttack(cfg), m, smoke_batch(), kLabels);
 
   const auto attack = make_attack("fgsm", {.epsilon = 0.25f});
   EXPECT_EQ(attack->name(), "fgsm");
-  expect_identical(attack->run(m, smoke_batch(), kLabels), legacy);
+  expect_identical(run_oblivious(*attack, m, smoke_batch(), kLabels), direct);
 }
 
 TEST(AttackRegistry, IfgsmIsMultiStepFgsm) {
@@ -96,40 +93,42 @@ TEST(AttackRegistry, IfgsmIsMultiStepFgsm) {
   FgsmConfig cfg;
   cfg.epsilon = 0.25f;
   cfg.iterations = 10;
-  const AttackResult legacy = fgsm_attack(m, smoke_batch(), kLabels, cfg);
+  const AttackResult direct =
+      run_oblivious(FgsmAttack(cfg), m, smoke_batch(), kLabels);
 
   const auto attack = make_attack("ifgsm", {.epsilon = 0.25f});
-  expect_identical(attack->run(m, smoke_batch(), kLabels), legacy);
+  expect_identical(run_oblivious(*attack, m, smoke_batch(), kLabels), direct);
 }
 
-TEST(AttackRegistry, CwL2MatchesFreeFunction) {
+TEST(AttackRegistry, CwL2MatchesConfigBuiltAttack) {
   nn::Sequential m = linear_model();
-  CwL2Config cfg;
+  EadConfig cfg;
   cfg.kappa = 1.0f;
   cfg.iterations = 60;
   cfg.binary_search_steps = 2;
   cfg.initial_c = 1.0f;
-  const AttackResult legacy = cw_l2_attack(m, smoke_batch(), kLabels, cfg);
+  const AttackResult direct =
+      run_oblivious(CwL2Attack(cfg), m, smoke_batch(), kLabels);
 
   const auto attack = make_attack(
       "cw-l2", {.kappa = 1.0f,
                 .initial_c = 1.0f,
                 .iterations = 60,
                 .binary_search_steps = 2});
-  expect_identical(attack->run(m, smoke_batch(), kLabels), legacy);
-  EXPECT_TRUE(legacy.success[0]);  // the comparison is not vacuous
+  expect_identical(run_oblivious(*attack, m, smoke_batch(), kLabels), direct);
+  EXPECT_TRUE(direct.success[0]);  // the comparison is not vacuous
 }
 
-TEST(AttackRegistry, DeepFoolMatchesFreeFunction) {
+TEST(AttackRegistry, DeepFoolMatchesConfigBuiltAttack) {
   nn::Sequential m = linear_model();
-  const AttackResult legacy =
-      deepfool_attack(m, smoke_batch(), kLabels, DeepFoolConfig{});
+  const AttackResult direct =
+      run_oblivious(DeepFoolAttack(), m, smoke_batch(), kLabels);
 
   const auto attack = make_attack("deepfool");
-  expect_identical(attack->run(m, smoke_batch(), kLabels), legacy);
+  expect_identical(run_oblivious(*attack, m, smoke_batch(), kLabels), direct);
 }
 
-TEST(AttackRegistry, EadMatchesFreeFunction) {
+TEST(AttackRegistry, EadMatchesConfigBuiltAttack) {
   nn::Sequential m = linear_model();
   EadConfig cfg;
   cfg.beta = 0.01f;
@@ -138,7 +137,8 @@ TEST(AttackRegistry, EadMatchesFreeFunction) {
   cfg.binary_search_steps = 2;
   cfg.initial_c = 1.0f;
   cfg.rule = DecisionRule::L1;
-  const AttackResult legacy = ead_attack(m, smoke_batch(), kLabels, cfg);
+  const AttackResult direct =
+      run_oblivious(EadAttack(cfg), m, smoke_batch(), kLabels);
 
   const auto attack = make_attack(
       "ead", {.kappa = 1.0f,
@@ -147,8 +147,8 @@ TEST(AttackRegistry, EadMatchesFreeFunction) {
               .iterations = 60,
               .binary_search_steps = 2,
               .rule = DecisionRule::L1});
-  expect_identical(attack->run(m, smoke_batch(), kLabels), legacy);
-  EXPECT_TRUE(legacy.success[0]);
+  expect_identical(run_oblivious(*attack, m, smoke_batch(), kLabels), direct);
+  EXPECT_TRUE(direct.success[0]);
 }
 
 TEST(AttackRegistry, OverridesReachTheConfig) {
@@ -193,11 +193,11 @@ TEST(AttackRegistry, OutOfTreeAttackCanRegister) {
   };
   auto& reg = AttackRegistry::instance();
   ASSERT_FALSE(reg.contains("null"));
-  reg.add("null", [](const AttackOverrides&) {
+  reg.add("null", {}, [](const AttackOverrides&) {
     return std::make_unique<NullAttack>();
   });
   nn::Sequential m = linear_model();
-  const auto r = make_attack("null")->run(m, smoke_batch(), kLabels);
+  const auto r = run_oblivious(*make_attack("null"), m, smoke_batch(), kLabels);
   EXPECT_EQ(r.success_count(), 0u);
 }
 
@@ -253,10 +253,10 @@ TEST(AttackRegistry, RejectedOverrideBumpsCounter) {
   obs::set_enabled(was_enabled);
 }
 
-TEST(AttackRegistry, LegacyTwoArgRegistrationStaysPermissive) {
-  // Out-of-tree attacks registered without a relevant-field list keep the
-  // old accept-everything behaviour ("null" was added by the test above;
-  // register a fallback if it ran in isolation).
+TEST(AttackRegistry, EmptyFieldListRejectsEveryOverride) {
+  // An out-of-tree attack registered with no relevant fields is strict
+  // like the builtins: any override throws ("null" was added by the test
+  // above; register a fallback if it ran in isolation).
   auto& reg = AttackRegistry::instance();
   if (!reg.contains("null")) {
     class NoopAttack final : public Attack {
@@ -274,11 +274,12 @@ TEST(AttackRegistry, LegacyTwoArgRegistrationStaysPermissive) {
         return r;
       }
     };
-    reg.add("null", [](const AttackOverrides&) {
+    reg.add("null", {}, [](const AttackOverrides&) {
       return std::make_unique<NoopAttack>();
     });
   }
-  EXPECT_NO_THROW(make_attack("null", {.kappa = 3.0f, .epsilon = 0.7f}));
+  EXPECT_NO_THROW(make_attack("null"));
+  EXPECT_THROW(make_attack("null", {.kappa = 3.0f}), std::invalid_argument);
 }
 
 }  // namespace

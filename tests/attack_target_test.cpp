@@ -1,18 +1,19 @@
-// AttackTarget: the threat-model seam introduced by the API redesign.
+// AttackTarget: the threat-model seam every attack runs against.
 //
-// The acceptance bar is bitwise: every registry attack run through an
-// ObliviousTarget must reproduce the legacy nn::Sequential& overload
-// exactly (same forward/backward call sequence, same floats). On top of
-// that, GrayBoxTarget must equal the fused-Sequential composition it
-// replaces, and DetectorAwareTarget must sum its auxiliary terms and
-// veto "success" on rows that fail to evade them.
+// The acceptance bar is bitwise: an ObliviousTarget's passes are exactly
+// the bare classifier's forward/backward, and every registry attack run
+// through one is reproducible to the last float (the cached-vs-fresh
+// gate of the threat-model bench relies on it). On top of that,
+// GrayBoxTarget must equal the fused-Sequential composition it replaces,
+// and DetectorAwareTarget must sum its auxiliary terms and veto
+// "success" on rows that fail to evade them.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
 
+#include "attack_test_util.hpp"
 #include "attacks/attack.hpp"
-#include "attacks/fgsm.hpp"
 #include "attacks/target.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
@@ -102,7 +103,7 @@ class ConstantTerm final : public AuxObjective {
   float slope_;
 };
 
-// --- oblivious identity (the redesign's regression gate) ---------------
+// --- oblivious identity ---------------------------------------------------
 
 struct NamedOverrides {
   const char* name;
@@ -119,21 +120,39 @@ const NamedOverrides kRegistryCases[] = {
       .binary_search_steps = 3}},
 };
 
-TEST(AttackTarget, ObliviousBitwiseIdenticalToLegacyForAllRegistryAttacks) {
+TEST(AttackTarget, ObliviousPassesAreTheBareClassifiers) {
+  nn::Sequential bare = linear_model();
+  nn::Sequential wrapped = linear_model();
+  ObliviousTarget target(wrapped);
+
+  const Tensor x = smoke_batch();
+  const Tensor z_bare = bare.forward(x, nn::Mode::Eval);
+  const Tensor z_target = target.logits(x, nn::Mode::Eval);
+  ASSERT_EQ(z_target.numel(), z_bare.numel());
+  for (std::size_t i = 0; i < z_target.numel(); ++i) {
+    ASSERT_EQ(z_target[i], z_bare[i]) << "logit " << i;
+  }
+
+  Tensor seed(z_bare.shape());
+  Rng rng(19);
+  fill_uniform(seed, rng, -1.0f, 1.0f);
+  const Tensor g_bare = bare.backward(seed);
+  const Tensor g_target = target.input_grad(x, seed);
+  ASSERT_EQ(g_target.numel(), g_bare.numel());
+  for (std::size_t i = 0; i < g_target.numel(); ++i) {
+    ASSERT_EQ(g_target[i], g_bare[i]) << "grad " << i;
+  }
+}
+
+TEST(AttackTarget, ObliviousRunsReproduceBitwiseForAllRegistryAttacks) {
   for (const auto& c : kRegistryCases) {
     SCOPED_TRACE(c.name);
     const auto attack = make_attack(c.name, c.overrides);
-
-    nn::Sequential legacy_model = linear_model();
-    const AttackResult legacy =
-        attack->run(legacy_model, smoke_batch(), kLabels);
-
-    nn::Sequential target_model = linear_model();
-    ObliviousTarget target(target_model);
-    const AttackResult via_target =
-        attack->run(target, smoke_batch(), kLabels);
-
-    expect_identical(via_target, legacy);
+    nn::Sequential first_model = linear_model();
+    nn::Sequential second_model = linear_model();
+    expect_identical(
+        run_oblivious(*attack, first_model, smoke_batch(), kLabels),
+        run_oblivious(*attack, second_model, smoke_batch(), kLabels));
   }
 }
 
@@ -229,13 +248,13 @@ TEST(AttackTarget, UnevadableAuxTermVetoesSuccess) {
   FgsmConfig cfg;
   cfg.epsilon = 0.25f;
   const AttackResult unaware =
-      fgsm_attack(plain, smoke_batch(), kLabels, cfg);
+      FgsmAttack(cfg).run(plain, smoke_batch(), kLabels);
   ASSERT_GT(unaware.success_count(), 0u);  // sanity: the attack works
 
   DetectorAwareTarget aware(nullptr, clf,
                             {std::make_shared<ConstantTerm>(1.0f, 0.0f)});
   const AttackResult vetoed =
-      fgsm_attack(aware, smoke_batch(), kLabels, cfg);
+      FgsmAttack(cfg).run(aware, smoke_batch(), kLabels);
   EXPECT_EQ(vetoed.success_count(), 0u);
   // Failed rows fall back to the natural image.
   const Tensor x = smoke_batch();

@@ -5,10 +5,8 @@
 #include <cmath>
 #include <memory>
 
-#include "attacks/cw.hpp"
-#include "attacks/deepfool.hpp"
-#include "attacks/ead.hpp"
-#include "attacks/fgsm.hpp"
+#include "attack_test_util.hpp"
+#include "attacks/attack.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
@@ -88,9 +86,10 @@ TEST(ShrinkProject, IdempotentOnFixedPoint) {
 
 TEST(HingeEval, MarginAndLossMatchManual) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget t(m);
   const Tensor x = class0_image();
   // logit0 = 8*1.6 = 12.8, logit1 = 8*0.2 = 1.6; margin = 1.6 - 12.8 = -11.2
-  const HingeEval e = eval_untargeted_hinge(m, x, {0}, 5.0f);
+  const HingeEval e = eval_untargeted_hinge(t, x, {0}, 5.0f);
   EXPECT_NEAR(e.margin[0], -11.2f, 1e-4f);
   // f = max(-margin, -kappa) = max(11.2, -5) = 11.2
   EXPECT_NEAR(e.f[0], 11.2f, 1e-4f);
@@ -98,19 +97,21 @@ TEST(HingeEval, MarginAndLossMatchManual) {
 
 TEST(HingeEval, SaturatesAtMinusKappa) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget t(m);
   // Strongly class-1 input evaluated with label 0: margin large positive.
   const Tensor x =
       Tensor::from_data(Shape({1, 1, 2, 2}), {0.0f, 0.0f, 0.9f, 0.9f});
-  const HingeEval e = eval_untargeted_hinge(m, x, {0}, 5.0f);
+  const HingeEval e = eval_untargeted_hinge(t, x, {0}, 5.0f);
   EXPECT_GT(e.margin[0], 5.0f);
   EXPECT_FLOAT_EQ(e.f[0], -5.0f);
 }
 
 TEST(HingeGradient, PointsTowardOtherClass) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget t(m);
   const Tensor x = class0_image();
-  const HingeEval e = eval_untargeted_hinge(m, x, {0}, 5.0f);
-  const Tensor g = hinge_input_gradient(m, e, {0}, 5.0f, {1.0f});
+  const HingeEval e = eval_untargeted_hinge(t, x, {0}, 5.0f);
+  const Tensor g = hinge_input_gradient(t, x, e, {0}, 5.0f, {1.0f});
   // d f / d x = d(logit0 - logit1)/dx = s*(1,1,-1,-1).
   EXPECT_NEAR(g[0], 8.0f, 1e-4f);
   EXPECT_NEAR(g[1], 8.0f, 1e-4f);
@@ -120,10 +121,11 @@ TEST(HingeGradient, PointsTowardOtherClass) {
 
 TEST(HingeGradient, ZeroWhenHingeInactive) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget t(m);
   const Tensor x =
       Tensor::from_data(Shape({1, 1, 2, 2}), {0.0f, 0.0f, 0.9f, 0.9f});
-  const HingeEval e = eval_untargeted_hinge(m, x, {0}, 5.0f);
-  const Tensor g = hinge_input_gradient(m, e, {0}, 5.0f, {1.0f});
+  const HingeEval e = eval_untargeted_hinge(t, x, {0}, 5.0f);
+  const Tensor g = hinge_input_gradient(t, x, e, {0}, 5.0f, {1.0f});
   for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(g[i], 0.0f);
 }
 
@@ -155,6 +157,7 @@ TEST(FillDistortions, ComputesRowwiseNorms) {
 
 TEST(Ead, FlipsLinearModelWithRequestedMargin) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget t(m);
   const Tensor x = class0_image();
   EadConfig cfg;
   cfg.beta = 0.01f;
@@ -162,11 +165,11 @@ TEST(Ead, FlipsLinearModelWithRequestedMargin) {
   cfg.iterations = 150;
   cfg.binary_search_steps = 4;
   cfg.initial_c = 1.0f;
-  const AttackResult r = ead_attack(m, x, {0}, cfg);
+  const AttackResult r = run_oblivious(EadAttack(cfg), m, x, {0});
   ASSERT_TRUE(r.success[0]);
   // Verify the margin on the crafted example.
   const HingeEval e =
-      eval_untargeted_hinge(m, r.adversarial, {0}, cfg.kappa);
+      eval_untargeted_hinge(t, r.adversarial, {0}, cfg.kappa);
   EXPECT_GE(e.margin[0], cfg.kappa - 1e-3f);
   // Box constraint holds.
   EXPECT_GE(min_value(r.adversarial), 0.0f);
@@ -184,7 +187,7 @@ TEST(Ead, FailedRowsKeepNaturalImage) {
   cfg.iterations = 5;
   cfg.binary_search_steps = 1;
   cfg.initial_c = 1e-6f;
-  const AttackResult r = ead_attack(m, x, {0}, cfg);
+  const AttackResult r = run_oblivious(EadAttack(cfg), m, x, {0});
   EXPECT_FALSE(r.success[0]);
   for (std::size_t i = 0; i < x.numel(); ++i) {
     EXPECT_FLOAT_EQ(r.adversarial[i], x[i]);
@@ -221,7 +224,7 @@ TEST(Ead, LargerBetaGivesSparserPerturbation) {
     cfg.binary_search_steps = 4;
     cfg.initial_c = 1.0f;
     cfg.rule = DecisionRule::L1;
-    return ead_attack(wide, x, {0}, cfg);
+    return run_oblivious(EadAttack(cfg), wide, x, {0});
   };
   const AttackResult dense = run(0.0f);
   const AttackResult sparse = run(0.05f);
@@ -248,7 +251,8 @@ TEST(Ead, MultiRuleSharesSuccessesAndOrdersDistortion) {
   cfg.binary_search_steps = 3;
   cfg.initial_c = 1.0f;
   const DecisionRule rules[2] = {DecisionRule::EN, DecisionRule::L1};
-  const auto rs = ead_attack_multi(m, x, {0}, cfg, rules);
+  ObliviousTarget t(m);
+  const auto rs = EadAttack(cfg).run_rules(t, x, {0}, rules);
   ASSERT_EQ(rs.size(), 2u);
   EXPECT_EQ(rs[0].success[0], rs[1].success[0]);
   ASSERT_TRUE(rs[0].success[0]);
@@ -261,26 +265,30 @@ TEST(Ead, ValidatesConfiguration) {
   const Tensor x = class0_image();
   EadConfig cfg;
   cfg.iterations = 0;
-  EXPECT_THROW(ead_attack(m, x, {0}, cfg), std::invalid_argument);
+  EXPECT_THROW(run_oblivious(EadAttack(cfg), m, x, {0}),
+               std::invalid_argument);
   cfg.iterations = 10;
   cfg.binary_search_steps = 0;
-  EXPECT_THROW(ead_attack(m, x, {0}, cfg), std::invalid_argument);
+  EXPECT_THROW(run_oblivious(EadAttack(cfg), m, x, {0}),
+               std::invalid_argument);
   cfg.binary_search_steps = 1;
-  EXPECT_THROW(ead_attack(m, x, {0, 1}, cfg), std::invalid_argument);
+  EXPECT_THROW(run_oblivious(EadAttack(cfg), m, x, {0, 1}),
+               std::invalid_argument);
+  ObliviousTarget t(m);
   EXPECT_THROW(
-      ead_attack_multi(m, x, {0}, cfg, std::span<const DecisionRule>{}),
+      EadAttack(cfg).run_rules(t, x, {0}, std::span<const DecisionRule>{}),
       std::invalid_argument);
 }
 
 TEST(CwL2, IsEadWithZeroBeta) {
   nn::Sequential m = linear_model(8.0f);
   const Tensor x = class0_image();
-  CwL2Config cw;
+  EadConfig cw;
   cw.kappa = 1.0f;
   cw.iterations = 120;
   cw.binary_search_steps = 3;
   cw.initial_c = 1.0f;
-  const AttackResult a = cw_l2_attack(m, x, {0}, cw);
+  const AttackResult a = run_oblivious(CwL2Attack(cw), m, x, {0});
 
   EadConfig ead;
   ead.beta = 0.0f;
@@ -289,23 +297,44 @@ TEST(CwL2, IsEadWithZeroBeta) {
   ead.binary_search_steps = 3;
   ead.initial_c = 1.0f;
   ead.rule = DecisionRule::L2;
-  const AttackResult b = ead_attack(m, x, {0}, ead);
+  const AttackResult b = run_oblivious(EadAttack(ead), m, x, {0});
   ASSERT_TRUE(a.success[0]);
   for (std::size_t i = 0; i < x.numel(); ++i) {
     EXPECT_FLOAT_EQ(a.adversarial[i], b.adversarial[i]);
   }
 }
 
+TEST(CwL2, ConstructorForcesTheL2SpecialCase) {
+  EadConfig cfg;
+  cfg.beta = 0.3f;
+  cfg.kappa = 2.0f;
+  cfg.rule = DecisionRule::EN;
+  cfg.use_fista = true;
+  cfg.mode = HingeMode::Targeted;
+  const CwL2Attack attack(cfg);
+  EXPECT_EQ(attack.config().beta, 0.0f);
+  EXPECT_EQ(attack.config().rule, DecisionRule::L2);
+  EXPECT_FALSE(attack.config().use_fista);
+  EXPECT_EQ(attack.config().mode, HingeMode::Untargeted);
+  EXPECT_EQ(attack.config().metrics_name, "cw-l2");
+  EXPECT_FLOAT_EQ(attack.config().kappa, 2.0f);  // C&W's own knobs stay
+  // The tag reads only C&W's knobs, so the forced fields cannot split it.
+  EadConfig plain;
+  plain.kappa = 2.0f;
+  EXPECT_EQ(attack.tag(), CwL2Attack(plain).tag());
+  EXPECT_EQ(attack.tag(), "cw_k2_i1000_s9_c0.001_lr0.01");
+}
+
 TEST(CwL2, HigherConfidenceCostsMoreDistortion) {
   nn::Sequential m = linear_model(8.0f);
   const Tensor x = class0_image();
   auto run = [&](float kappa) {
-    CwL2Config cfg;
+    EadConfig cfg;
     cfg.kappa = kappa;
     cfg.iterations = 150;
     cfg.binary_search_steps = 4;
     cfg.initial_c = 1.0f;
-    return cw_l2_attack(m, x, {0}, cfg);
+    return run_oblivious(CwL2Attack(cfg), m, x, {0});
   };
   const AttackResult lo = run(0.5f);
   const AttackResult hi = run(8.0f);
@@ -316,14 +345,15 @@ TEST(CwL2, HigherConfidenceCostsMoreDistortion) {
 
 TEST(TargetedHinge, MarginOrientedTowardTarget) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget t(m);
   const Tensor x = class0_image();
   // Target class 1: margin = z_1 - z_0 = 1.6 - 12.8 = -11.2 (not reached).
   const HingeEval e =
-      eval_attack_hinge(m, x, {1}, 2.0f, HingeMode::Targeted);
+      eval_attack_hinge(t, x, {1}, 2.0f, HingeMode::Targeted);
   EXPECT_NEAR(e.margin[0], -11.2f, 1e-4f);
   EXPECT_NEAR(e.f[0], 11.2f, 1e-4f);
   // Gradient ascends z_1 and descends z_0: d(z0 - z1)/dx = s*(1,1,-1,-1).
-  const Tensor g = attack_hinge_input_gradient(m, e, {1}, 2.0f, {1.0f},
+  const Tensor g = attack_hinge_input_gradient(t, x, e, {1}, 2.0f, {1.0f},
                                                HingeMode::Targeted);
   EXPECT_NEAR(g[0], 8.0f, 1e-4f);   // descending -g pushes x0, x1 down
   EXPECT_NEAR(g[2], -8.0f, 1e-4f);  // and x2, x3 up -> toward class 1
@@ -339,7 +369,8 @@ TEST(TargetedEad, ReachesRequestedTargetClass) {
   cfg.binary_search_steps = 4;
   cfg.initial_c = 1.0f;
   cfg.mode = HingeMode::Targeted;
-  const AttackResult r = ead_attack(m, x, {1}, cfg);  // labels = targets
+  // labels = targets
+  const AttackResult r = run_oblivious(EadAttack(cfg), m, x, {1});
   ASSERT_TRUE(r.success[0]);
   const Tensor logits = m.forward(r.adversarial, nn::Mode::Eval);
   EXPECT_EQ(argmax_row(logits, 0), 1u);
@@ -349,22 +380,24 @@ TEST(TargetedEad, ReachesRequestedTargetClass) {
 
 TEST(TargetedEad, HingeInactiveOnceTargetConfident) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget t(m);
   // Already strongly class 1; targeting class 1 means the hinge is
   // saturated and the gradient is zero.
   const Tensor x =
       Tensor::from_data(Shape({1, 1, 2, 2}), {0.0f, 0.0f, 0.9f, 0.9f});
   const HingeEval e =
-      eval_attack_hinge(m, x, {1}, 2.0f, HingeMode::Targeted);
+      eval_attack_hinge(t, x, {1}, 2.0f, HingeMode::Targeted);
   EXPECT_GT(e.margin[0], 2.0f);
-  const Tensor g = attack_hinge_input_gradient(m, e, {1}, 2.0f, {1.0f},
+  const Tensor g = attack_hinge_input_gradient(t, x, e, {1}, 2.0f, {1.0f},
                                                HingeMode::Targeted);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(g[i], 0.0f);
 }
 
 TEST(TargetedHinge, RejectsOutOfRangeLabel) {
   nn::Sequential m = linear_model();
+  ObliviousTarget t(m);
   EXPECT_THROW(
-      eval_attack_hinge(m, class0_image(), {7}, 0.0f, HingeMode::Targeted),
+      eval_attack_hinge(t, class0_image(), {7}, 0.0f, HingeMode::Targeted),
       std::invalid_argument);
 }
 
@@ -375,7 +408,7 @@ TEST(Fgsm, RespectsEpsilonBall) {
   const Tensor x = class0_image();
   FgsmConfig cfg;
   cfg.epsilon = 0.15f;
-  const AttackResult r = fgsm_attack(m, x, {0}, cfg);
+  const AttackResult r = run_oblivious(FgsmAttack(cfg), m, x, {0});
   for (std::size_t i = 0; i < x.numel(); ++i) {
     EXPECT_LE(std::fabs(r.adversarial[i] - x[i]), cfg.epsilon + 1e-5f);
   }
@@ -388,7 +421,7 @@ TEST(Fgsm, LargeEpsilonFlipsLinearModel) {
   const Tensor x = class0_image();
   FgsmConfig cfg;
   cfg.epsilon = 0.8f;
-  const AttackResult r = fgsm_attack(m, x, {0}, cfg);
+  const AttackResult r = run_oblivious(FgsmAttack(cfg), m, x, {0});
   EXPECT_TRUE(r.success[0]);
   EXPECT_GT(r.linf[0], 0.0f);
 }
@@ -401,8 +434,8 @@ TEST(Fgsm, IterativeIsNoWeakerThanOneShot) {
   one.iterations = 1;
   FgsmConfig many = one;
   many.iterations = 10;
-  const auto r1 = fgsm_attack(m, x, {0}, one);
-  const auto rn = fgsm_attack(m, x, {0}, many);
+  const auto r1 = run_oblivious(FgsmAttack(one), m, x, {0});
+  const auto rn = run_oblivious(FgsmAttack(many), m, x, {0});
   EXPECT_GE(static_cast<int>(rn.success[0]), static_cast<int>(r1.success[0]));
 }
 
@@ -410,10 +443,10 @@ TEST(Fgsm, ValidatesInputs) {
   nn::Sequential m = linear_model();
   FgsmConfig cfg;
   cfg.iterations = 0;
-  EXPECT_THROW(fgsm_attack(m, class0_image(), {0}, cfg),
+  EXPECT_THROW(run_oblivious(FgsmAttack(cfg), m, class0_image(), {0}),
                std::invalid_argument);
   cfg.iterations = 1;
-  EXPECT_THROW(fgsm_attack(m, class0_image(), {0, 1}, cfg),
+  EXPECT_THROW(run_oblivious(FgsmAttack(cfg), m, class0_image(), {0, 1}),
                std::invalid_argument);
 }
 
@@ -425,7 +458,7 @@ TEST(DeepFool, FlipsLinearModelWithSmallPerturbation) {
   const Tensor x =
       Tensor::from_data(Shape({1, 1, 2, 2}), {0.3f, 0.3f, 0.2f, 0.2f});
   DeepFoolConfig cfg;
-  const AttackResult r = deepfool_attack(m, x, {0}, cfg);
+  const AttackResult r = run_oblivious(DeepFoolAttack(cfg), m, x, {0});
   ASSERT_TRUE(r.success[0]);
   // DeepFool finds a near-minimal perturbation: boundary distance is
   // |0.2| * s / (s * 2) = 0.1 in L2 over the 4-pixel gradient direction.
@@ -438,7 +471,7 @@ TEST(DeepFool, LeavesAlreadyMisclassifiedAlone) {
   nn::Sequential m = linear_model(8.0f);
   const Tensor x = class0_image();
   // Deliberately wrong label: the model already "misclassifies".
-  const AttackResult r = deepfool_attack(m, x, {1}, DeepFoolConfig{});
+  const AttackResult r = run_oblivious(DeepFoolAttack(), m, x, {1});
   EXPECT_TRUE(r.success[0]);
   for (std::size_t i = 0; i < x.numel(); ++i) {
     EXPECT_FLOAT_EQ(r.adversarial[i], x[i]);
@@ -447,7 +480,7 @@ TEST(DeepFool, LeavesAlreadyMisclassifiedAlone) {
 
 TEST(DeepFool, ValidatesInputs) {
   nn::Sequential m = linear_model();
-  EXPECT_THROW(deepfool_attack(m, class0_image(), {0, 1}, DeepFoolConfig{}),
+  EXPECT_THROW(run_oblivious(DeepFoolAttack(), m, class0_image(), {0, 1}),
                std::invalid_argument);
 }
 

@@ -206,16 +206,17 @@ TEST_F(SerializeTest, CorruptionErrorsNameTheFailure) {
   }
 }
 
-// --- legacy v1 compatibility --------------------------------------------
+// --- legacy v1 rejection ---------------------------------------------
 
-TEST_F(SerializeTest, LegacyV1FileStillRoundTrips) {
+TEST_F(SerializeTest, LegacyV1FileIsRejected) {
   // Hand-written v1 file: header without checksums, raw rank/dims/payload
-  // records — byte-for-byte what the previous serializer produced.
+  // records — byte-for-byte what the first serializer produced. v1 had
+  // no integrity checks, so it is refused rather than trusted.
   const auto path = dir_ / "legacy.bin";
   const std::vector<float> values = {1.5f, -2.0f, 0.25f, 8.0f, -0.5f, 3.0f};
   {
     std::ofstream os(path, std::ios::binary);
-    const std::uint32_t version = kTensorFileVersionLegacy;
+    const std::uint32_t version = 1;
     const std::uint64_t count = 1, rank = 2, d0 = 2, d1 = 3;
     os.write(reinterpret_cast<const char*>(&kTensorFileMagic), 4);
     os.write(reinterpret_cast<const char*>(&version), 4);
@@ -225,29 +226,7 @@ TEST_F(SerializeTest, LegacyV1FileStillRoundTrips) {
     os.write(reinterpret_cast<const char*>(&d1), 8);
     os.write(reinterpret_cast<const char*>(values.data()), 24);
   }
-  const std::vector<Tensor> loaded = load_tensors(path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].shape(), Shape({2, 3}));
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_FLOAT_EQ(loaded[0][i], values[i]);
-  }
-}
-
-TEST_F(SerializeTest, LegacyV1TruncationStillThrows) {
-  const auto path = dir_ / "legacy_trunc.bin";
-  {
-    std::ofstream os(path, std::ios::binary);
-    const std::uint32_t version = kTensorFileVersionLegacy;
-    const std::uint64_t count = 1, rank = 1, d0 = 100;
-    os.write(reinterpret_cast<const char*>(&kTensorFileMagic), 4);
-    os.write(reinterpret_cast<const char*>(&version), 4);
-    os.write(reinterpret_cast<const char*>(&count), 8);
-    os.write(reinterpret_cast<const char*>(&rank), 8);
-    os.write(reinterpret_cast<const char*>(&d0), 8);
-    const std::vector<float> partial(10, 1.0f);  // 100 promised, 10 present
-    os.write(reinterpret_cast<const char*>(partial.data()), 40);
-  }
-  expect_load_error(path, "truncated");
+  expect_load_error(path, "unsupported version");
 }
 
 // --- atomic writes and injected faults ----------------------------------

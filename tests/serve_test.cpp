@@ -750,6 +750,10 @@ TEST_F(ServeTest, AbuseBarrageNeverWedgesBatcher) {
 /// releases the wedge.
 TEST_F(ServeTest, AdmissionQueueShedsWhenFull) {
   auto pipe = build_pipeline();
+  // The pipeline is not reentrant (DESIGN.md §14): take the reference
+  // before the batcher's executor starts forwarding on it.
+  const DefenseOutcome want =
+      pipe->classify(rows_tensor(1, 0.2f), DefenseScheme::Full);
   const std::uint64_t shed_before = counter_value("serve/shed");
   MicroBatcher batcher([pipe] { return pipe; },
                        {.max_batch_rows = 1,
@@ -785,9 +789,7 @@ TEST_F(ServeTest, AdmissionQueueShedsWhenFull) {
   for (auto& f : admitted) {
     const ServeResult a = f.get();
     ASSERT_TRUE(a.ok) << a.error;
-    EXPECT_TRUE(outcomes_bitwise_equal(
-        a.outcome, pipe->classify(rows_tensor(1, 0.2f),
-                                  DefenseScheme::Full)));
+    EXPECT_TRUE(outcomes_bitwise_equal(a.outcome, want));
   }
 }
 
@@ -880,6 +882,13 @@ TEST_F(ServeTest, WatchdogTripFailsBatchAndKeepsServing) {
 /// WHERE classify runs, not what it computes).
 TEST_F(ServeTest, WatchdogIdleKeepsBitwiseIdentity) {
   auto pipe = build_pipeline();
+  // References first: the executor forwards on `pipe`, which is not
+  // reentrant (DESIGN.md §14).
+  std::vector<DefenseOutcome> want;
+  for (std::size_t i = 0; i < 12; ++i) {
+    want.push_back(pipe->classify(rows_tensor(1 + i % 2, 0.05f * i),
+                                  DefenseScheme::Full));
+  }
   MicroBatcher batcher([pipe] { return pipe; },
                        {.max_batch_rows = 4,
                         .flush_deadline = std::chrono::microseconds{500},
@@ -892,9 +901,7 @@ TEST_F(ServeTest, WatchdogIdleKeepsBitwiseIdentity) {
   for (std::size_t i = 0; i < 12; ++i) {
     const ServeResult r = futures[i].get();
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_TRUE(outcomes_bitwise_equal(
-        r.outcome, pipe->classify(rows_tensor(1 + i % 2, 0.05f * i),
-                                  DefenseScheme::Full)));
+    EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, want[i]));
   }
 }
 
@@ -936,6 +943,12 @@ TEST_F(ServeTest, StopShedsQueuedRequests) {
 /// bytes.
 TEST_F(ServeTest, DelayFaultPreservesBitwiseResults) {
   auto pipe = build_pipeline();
+  // References first: the batcher forwards on the non-reentrant `pipe`.
+  std::vector<DefenseOutcome> want;
+  for (std::size_t i = 0; i < 6; ++i) {
+    want.push_back(
+        pipe->classify(rows_tensor(1, 0.08f * i), DefenseScheme::Full));
+  }
   MicroBatcher batcher([pipe] { return pipe; },
                        {4, std::chrono::microseconds{100}});
   fault::arm("serve.batch_forward:delay=5");
@@ -947,9 +960,7 @@ TEST_F(ServeTest, DelayFaultPreservesBitwiseResults) {
   for (std::size_t i = 0; i < 6; ++i) {
     const ServeResult r = futures[i].get();
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_TRUE(outcomes_bitwise_equal(
-        r.outcome,
-        pipe->classify(rows_tensor(1, 0.08f * i), DefenseScheme::Full)));
+    EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, want[i]));
   }
 }
 

@@ -402,25 +402,37 @@ TEST(ShardedZoo, WarmStartsFromCanonicalArtifactBySlicing) {
   const auto cfg = tiny_config(cache);
   const auto id = DatasetId::Mnist;
 
+  const auto rule = attacks::DecisionRule::EN;
+
   ModelZoo full_zoo(cfg);
   const auto r_full = full_zoo.fgsm(id, 0.08f, 3);
+  const auto e_full = full_zoo.ead(id, 0.01f, 0.0f, rule);
   const std::size_t n = r_full.success.size();
+  const IndexRange slice = shard_range(n, 1, 2);
 
-  // With the canonical artifact in the shared cache, a sharded zoo must
-  // serve its slice from it (and persist the shard piece) byte-for-byte.
+  // With the canonical artifacts in the shared cache, a sharded zoo must
+  // serve its slices from them (and persist the shard pieces)
+  // byte-for-byte, without running any optimization.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& ead_runs = obs::MetricsRegistry::global().counter("attack/ead/runs");
+  const std::uint64_t ead_runs_before = ead_runs.value();
   ModelZoo z(cfg);
   z.set_shard(1, 2);
-  const auto r1 = z.fgsm(id, 0.08f, 3);
-  expect_result_eq(r1, slice_attack_result(r_full, shard_range(n, 1, 2)));
+  expect_result_eq(z.fgsm(id, 0.08f, 3), slice_attack_result(r_full, slice));
+  expect_result_eq(z.ead(id, 0.01f, 0.0f, rule),
+                   slice_attack_result(e_full, slice));
+  EXPECT_EQ(ead_runs.value(), ead_runs_before);
+  obs::set_enabled(was_enabled);
 
-  bool piece_found = false;
+  std::size_t pieces = 0;
   for (const auto& e : fs::directory_iterator(cache)) {
     if (e.path().filename().string().find(".shard1of2.bin") !=
         std::string::npos) {
-      piece_found = true;
+      ++pieces;
     }
   }
-  EXPECT_TRUE(piece_found);
+  EXPECT_EQ(pieces, 2u);  // fgsm + ead
   fs::remove_all(cache);
 }
 

@@ -4,7 +4,8 @@
 # artifacts (BENCH_gemm.json, BENCH_layers.json), and a sharded-vs-
 # unsharded identity gate (REPRO_SCALE=smoke, --shards 2) proving the
 # process fan-out reproduces the single-process attack artifacts and
-# success counters bit for bit.
+# success counters bit for bit, then the benchmark/serving gates and a
+# sanitizer stage (TSan, ASan+UBSan) in sibling build trees.
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Env:   ADV_OBS=0 pins the instrumentation off (overhead A/B runs);
@@ -188,9 +189,9 @@ echo "== threat-model bench (REPRO_SCALE=smoke) =="
 # table1_threat_models crafts every registry attack under all three
 # threat models (sharing the shard_ci cache so models are already
 # trained) and writes BENCH_threatmodel.json. Gates: the dump covers all
-# three threat models, and threat/oblivious_identity is 1 — the new
-# AttackTarget path reproduced the legacy nn::Sequential& attack API
-# bitwise.
+# three threat models, and threat/oblivious_identity is 1 — every cached
+# artifact equals a fresh, uncached run over an ObliviousTarget, bit for
+# bit.
 threat_dir="$repo_root/$build_dir/threat_ci"
 threat_bench="$repo_root/$build_dir/bench/table1_threat_models"
 rm -rf "$threat_dir"
@@ -210,7 +211,7 @@ if [ -s "$threat_dir/BENCH_threatmodel.json" ]; then
   done
   if grep -A1 '"key": "threat/oblivious_identity"' \
        "$threat_dir/BENCH_threatmodel.json" | grep -q '"value": 1'; then
-    echo "ok: oblivious target bitwise-identical to legacy attack API"
+    echo "ok: cached oblivious artifacts bitwise-identical to fresh runs"
   else
     echo "FAIL: threat/oblivious_identity != 1" >&2
     fail=1
@@ -345,6 +346,50 @@ if [ -s "$serve_dir/BENCH_serve.json" ]; then
   done
 else
   echo "MISSING: $serve_dir/BENCH_serve.json" >&2
+  fail=1
+fi
+echo "== sanitizers (TSan: serve + thread_pool/obs/fault; ASan+UBSan: all) =="
+# Concurrency and memory checks, each in its own build tree next to
+# $build_dir. TSan covers the serving battery (label: serve) and the
+# thread_pool, obs and fault suites — the code that shares state across
+# threads; ASan+UBSan run the full suite. Every report fails its test:
+# TSan and ASan exit nonzero on a report, and UBSan is built
+# non-recoverable.
+sanitizer_build() {  # <dir> <flags> [targets...]
+  local dir="$1" flags="$2"
+  shift 2
+  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="$flags -fno-omit-frame-pointer" \
+        -DCMAKE_EXE_LINKER_FLAGS="$flags"
+  if [ "$#" -gt 0 ]; then
+    cmake --build "$dir" -j"$jobs" --target "$@"
+  else
+    cmake --build "$dir" -j"$jobs"
+  fi
+}
+
+tsan_dir="$build_dir-tsan"
+sanitizer_build "$tsan_dir" "-fsanitize=thread" \
+  serve_test thread_pool_test obs_test fault_test
+export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
+if ctest --test-dir "$tsan_dir" -L serve --output-on-failure -j"$jobs" &&
+   "$tsan_dir/tests/thread_pool_test" && "$tsan_dir/tests/obs_test" &&
+   "$tsan_dir/tests/fault_test"; then
+  echo "ok: TSan clean (serve, thread_pool, obs, fault)"
+else
+  echo "FAIL: TSan reported a race (or a test failed) under $tsan_dir" >&2
+  fail=1
+fi
+unset TSAN_OPTIONS
+
+asan_dir="$build_dir-asan"
+sanitizer_build "$asan_dir" \
+  "-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+if ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
+     ctest --test-dir "$asan_dir" --output-on-failure -j"$jobs"; then
+  echo "ok: ASan+UBSan clean (full suite)"
+else
+  echo "FAIL: ASan/UBSan reported an error (or a test failed) under $asan_dir" >&2
   fail=1
 fi
 exit "$fail"
