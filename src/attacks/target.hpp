@@ -29,9 +29,11 @@
 //   2. logits(batch, Mode::Infer) is forward-only scoring; no input_grad
 //      may follow it.
 //   3. aux_loss / aux_input_grad are self-contained: they run their own
-//      model passes and therefore CLOBBER any caches from a prior Eval
-//      forward. Attacks must finish the hinge backward before touching
-//      the aux terms of the same iterate.
+//      model passes. aux_loss runs them forward-only and leaves every
+//      cache untouched; aux_input_grad runs caching forwards and therefore
+//      CLOBBERS any caches from a prior Eval forward. Attacks must finish
+//      the hinge backward before calling aux_input_grad on the same
+//      iterate.
 #pragma once
 
 #include <memory>
@@ -62,7 +64,8 @@ class AuxObjective {
   virtual std::string name() const = 0;
 
   /// Per-row penalty values; <= 0 means "this row evades the term".
-  /// Forward-only (Mode::Infer internally).
+  /// Forward-only (Mode::Infer internally), so it leaves every backward
+  /// cache untouched.
   virtual std::vector<float> loss(const Tensor& batch) = 0;
 
   /// d(sum_i weight[i] * loss_i)/d(batch). Self-contained: runs its own

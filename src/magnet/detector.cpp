@@ -42,6 +42,22 @@ std::vector<bool> Detector::reject(const Tensor& batch) const {
   return out;
 }
 
+const Tensor& Forwards::output(nn::Sequential& model, nn::Sequential* inner) {
+  const auto key = std::make_pair(&model, inner);
+  auto it = outputs_.find(key);
+  if (it != outputs_.end()) return it->second;
+  const Tensor& in = inner ? output(*inner) : input_;
+  nn::Sequential* exec = &model;
+  if (clones_) {
+    const auto c = clones_->find(&model);
+    if (c == clones_->end()) {
+      throw std::runtime_error("Forwards: model has no clone");
+    }
+    exec = c->second.get();
+  }
+  return outputs_.emplace(key, nn::predict(*exec, in)).first->second;
+}
+
 ReconstructionDetector::ReconstructionDetector(
     std::shared_ptr<nn::Sequential> autoencoder, int p)
     : ae_(std::move(autoencoder)), p_(p) {
@@ -51,28 +67,8 @@ ReconstructionDetector::ReconstructionDetector(
   }
 }
 
-std::vector<float> ReconstructionDetector::scores(const Tensor& batch) const {
-  const Tensor recon = nn::predict(*ae_, batch);
-  const std::size_t n = batch.dim(0);
-  const std::size_t row = batch.numel() / n;
-  std::vector<float> out(n);
-  const float* x = batch.data();
-  const float* r = recon.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    const float* xi = x + i * row;
-    const float* ri = r + i * row;
-    if (p_ == 1) {
-      for (std::size_t j = 0; j < row; ++j) acc += std::fabs(xi[j] - ri[j]);
-    } else {
-      for (std::size_t j = 0; j < row; ++j) {
-        const double d = static_cast<double>(xi[j]) - ri[j];
-        acc += d * d;
-      }
-    }
-    out[i] = static_cast<float>(acc / static_cast<double>(row));
-  }
-  return out;
+std::vector<float> ReconstructionDetector::scores_from(Forwards& f) const {
+  return recon_error(f.input(), f.output(*ae_), p_);
 }
 
 JsdDetector::JsdDetector(std::shared_ptr<nn::Sequential> autoencoder,
@@ -87,6 +83,45 @@ JsdDetector::JsdDetector(std::shared_ptr<nn::Sequential> autoencoder,
   if (temperature <= 0.0f) {
     throw std::invalid_argument("JsdDetector: temperature must be > 0");
   }
+}
+
+std::vector<float> JsdDetector::scores_from(Forwards& f) const {
+  return jsd_rows(nn::softmax_rows(f.output(*classifier_), temperature_),
+                  nn::softmax_rows(f.output(*classifier_, ae_.get()),
+                                   temperature_));
+}
+
+std::vector<float> recon_error(const Tensor& x, const Tensor& recon, int p) {
+  const std::size_t n = x.dim(0);
+  const std::size_t row = x.numel() / n;
+  std::vector<float> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* xi = x.data() + i * row;
+    const float* ri = recon.data() + i * row;
+    double acc = 0.0;
+    if (p == 1) {
+      for (std::size_t j = 0; j < row; ++j) acc += std::fabs(xi[j] - ri[j]);
+    } else {
+      for (std::size_t j = 0; j < row; ++j) {
+        const double d = static_cast<double>(xi[j]) - ri[j];
+        acc += d * d;
+      }
+    }
+    out[i] = static_cast<float>(acc / static_cast<double>(row));
+  }
+  return out;
+}
+
+std::vector<float> jsd_rows(const Tensor& probs_a, const Tensor& probs_b) {
+  const std::size_t n = probs_a.dim(0);
+  const std::size_t k = probs_a.dim(1);
+  std::vector<float> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = jensen_shannon_divergence(
+        std::span<const float>(probs_a.data() + i * k, k),
+        std::span<const float>(probs_b.data() + i * k, k));
+  }
+  return out;
 }
 
 float jensen_shannon_divergence(std::span<const float> p,
@@ -104,23 +139,6 @@ float jensen_shannon_divergence(std::span<const float> p,
     if (qi > 0.0) acc += 0.5 * qi * std::log(qi / mi);
   }
   return static_cast<float>(std::max(acc, 0.0));
-}
-
-std::vector<float> JsdDetector::scores(const Tensor& batch) const {
-  const Tensor recon = nn::predict(*ae_, batch);
-  const Tensor logits_x = nn::predict(*classifier_, batch);
-  const Tensor logits_r = nn::predict(*classifier_, recon);
-  const Tensor probs_x = nn::softmax_rows(logits_x, temperature_);
-  const Tensor probs_r = nn::softmax_rows(logits_r, temperature_);
-  const std::size_t n = batch.dim(0);
-  const std::size_t k = probs_x.dim(1);
-  std::vector<float> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = jensen_shannon_divergence(
-        std::span<const float>(probs_x.data() + i * k, k),
-        std::span<const float>(probs_r.data() + i * k, k));
-  }
-  return out;
 }
 
 }  // namespace adv::magnet

@@ -1,6 +1,5 @@
 #include "magnet/pipeline.hpp"
 
-#include <map>
 #include <stdexcept>
 
 #include "nn/trainer.hpp"
@@ -77,47 +76,23 @@ void MagNetPipeline::set_reformer(std::shared_ptr<Reformer> reformer) {
 
 void MagNetPipeline::calibrate(const Tensor& clean_validation, float fpr) {
   for (auto& d : detectors_) d->calibrate(clean_validation, fpr);
-  // The int8 bank never calibrates itself: its decision rule is always
-  // the float thresholds (DESIGN.md §17).
-  for (std::size_t i = 0; i < q_detectors_.size(); ++i) {
-    q_detectors_[i]->set_threshold(detectors_[i]->threshold());
-  }
 }
 
 void MagNetPipeline::prepare_quantized(const Tensor& calib) {
-  // One int8 clone per distinct float model: the reformer AE is usually
-  // also a detector AE, and the classifier feeds every JSD detector —
-  // sharing keeps the int8 bank's memory at par with the float one.
-  std::map<const nn::Sequential*, std::shared_ptr<nn::Sequential>> memo;
-  const auto clone = [&](const std::shared_ptr<nn::Sequential>& src) {
-    auto it = memo.find(src.get());
-    if (it != memo.end()) return it->second;
-    auto q = std::make_shared<nn::Sequential>(quant::quantize(*src, calib));
-    memo.emplace(src.get(), q);
-    return q;
-  };
-  q_classifier_ = clone(classifier_);
-  q_detectors_.clear();
-  q_detectors_.reserve(detectors_.size());
-  for (const auto& d : detectors_) {
-    std::shared_ptr<Detector> q;
-    if (const auto* rd = dynamic_cast<const ReconstructionDetector*>(d.get())) {
-      q = std::make_shared<ReconstructionDetector>(clone(rd->autoencoder()),
-                                                   rd->p());
-    } else if (const auto* jd = dynamic_cast<const JsdDetector*>(d.get())) {
-      q = std::make_shared<JsdDetector>(clone(jd->autoencoder()),
-                                        clone(jd->classifier()),
-                                        jd->temperature());
-    } else {
-      throw std::runtime_error("prepare_quantized: unsupported detector " +
-                               d->name());
+  // One clone per distinct float model: the reformer AE is usually also a
+  // detector AE, and the classifier feeds every JSD detector.
+  int8_.clear();
+  const auto clone = [&](const std::shared_ptr<nn::Sequential>& m) {
+    if (int8_.count(m.get()) == 0) {
+      int8_.emplace(m.get(), std::make_shared<nn::Sequential>(
+                                 quant::quantize(*m, calib)));
     }
-    if (d->calibrated()) q->set_threshold(d->threshold());
-    q_detectors_.push_back(std::move(q));
+  };
+  clone(classifier_);
+  for (const auto& d : detectors_) {
+    for (const auto& m : d->models()) clone(m);
   }
-  q_reformer_ = reformer_
-                    ? std::make_shared<Reformer>(clone(reformer_->autoencoder()))
-                    : nullptr;
+  if (reformer_) clone(reformer_->autoencoder());
 }
 
 DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
@@ -128,9 +103,7 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
     throw std::runtime_error(
         "classify: ExecMode::Int8 requires prepare_quantized()");
   }
-  const auto& detectors = int8 ? q_detectors_ : detectors_;
-  const auto& reformer = int8 ? q_reformer_ : reformer_;
-  const auto& classifier = int8 ? q_classifier_ : classifier_;
+  Forwards fwd(batch, int8 ? &int8_ : nullptr);
 
   const std::size_t n = batch.dim(0);
   DefenseOutcome out;
@@ -140,38 +113,36 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
                              scheme == DefenseScheme::Full;
   const bool use_reformer = (scheme == DefenseScheme::ReformerOnly ||
                              scheme == DefenseScheme::Full) &&
-                            reformer != nullptr;
+                            reformer_ != nullptr;
+  nn::Sequential* reformer_ae =
+      use_reformer ? reformer_->autoencoder().get() : nullptr;
 
   if (obs::enabled() && int8) {
     static auto& rows =
         obs::MetricsRegistry::global().counter("quant/classify_rows");
     rows.add(n);
   }
+  // Per-stage serving latency (adv::obs; no-op unless enabled). A forward
+  // is timed in the first stage that needs it; later stages reuse it.
   if (use_detectors) {
-    // Per-stage serving latency (adv::obs; no-op unless enabled).
     obs::ScopedTimer t("magnet/stage/detectors");
-    out.readings.reserve(detectors.size());
-    for (const auto& d : detectors) {
-      DetectorReading reading;
-      reading.name = d->name();
-      reading.threshold = d->threshold();  // throws if not calibrated
-      reading.scores = d->scores(batch);
+    out.readings.reserve(detectors_.size());
+    for (const auto& d : detectors_) {
+      // threshold() throws if the detector is not calibrated.
+      DetectorReading reading{d->name(), d->threshold(), d->scores_from(fwd)};
       for (std::size_t i = 0; i < n; ++i) {
         if (reading.reject_row(i)) out.rejected[i] = true;
       }
       out.readings.push_back(std::move(reading));
     }
   }
-
-  Tensor reformed;
-  if (use_reformer) {
+  if (reformer_ae) {
     obs::ScopedTimer t("magnet/stage/reformer");
-    reformed = reformer->reform(batch);
+    fwd.output(*reformer_ae);
   }
   {
     obs::ScopedTimer t("magnet/stage/classifier");
-    out.predicted =
-        nn::predict_labels(*classifier, use_reformer ? reformed : batch);
+    out.predicted = nn::argmax_labels(fwd.output(*classifier_, reformer_ae));
   }
   return out;
 }

@@ -22,9 +22,10 @@ enum class DefenseScheme { None, DetectorOnly, ReformerOnly, Full };
 const char* to_string(DefenseScheme s);
 
 /// Execution backend for classify(): the float models, or the per-channel
-/// int8 clones built by prepare_quantized() (DESIGN.md §17). Detector
-/// thresholds are always the float-calibrated ones — int8 changes the
-/// scores, never the decision rule, so threshold drift is measurable.
+/// int8 clones built by prepare_quantized() (DESIGN.md §17). Both modes
+/// score with the same detector objects, so the thresholds are the
+/// float-calibrated ones — int8 changes the scores, never the decision
+/// rule, so threshold drift is measurable.
 enum class ExecMode { Float, Int8 };
 
 const char* to_string(ExecMode m);
@@ -86,28 +87,27 @@ class MagNetPipeline {
   nn::Sequential& classifier() { return *classifier_; }
 
   /// Calibrates every detector's threshold at `fpr` on clean validation
-  /// images (MagNet's procedure). If int8 clones exist, their thresholds
-  /// are refreshed from the float calibration (the int8 path never
-  /// recalibrates — see ExecMode).
+  /// images (MagNet's procedure). Both exec modes use these thresholds.
   void calibrate(const Tensor& clean_validation, float fpr);
 
-  /// Builds the per-channel int8 clones (quant::quantize) of the
-  /// classifier, the reformer's auto-encoder and every detector-consulted
-  /// model, calibrating activation scales on `calib`. Models shared
-  /// between stages (the reformer AE doubling as a detector AE, the
-  /// classifier inside JSD detectors) are cloned once and shared again.
-  /// Detector thresholds are copied from the float calibration.
+  /// Builds the per-channel int8 clone (quant::quantize) of every distinct
+  /// model the defense runs — the classifier, the reformer's auto-encoder
+  /// and each detector's models() — calibrating activation scales on
+  /// `calib`. Only models are cloned: ExecMode::Int8 runs the same
+  /// detectors and reformer with each model resolved to its clone.
   void prepare_quantized(const Tensor& calib);
 
   /// True once prepare_quantized() has run (required for ExecMode::Int8).
-  bool quantized_ready() const { return q_classifier_ != nullptr; }
+  bool quantized_ready() const { return !int8_.empty(); }
 
   /// Runs the defense. Detectors must be calibrated when the scheme uses
   /// them; a Full/ReformerOnly scheme without a reformer degrades to the
-  /// respective detector-only/no-defense behaviour. Const (and callable
-  /// on a const pipeline): serving never mutates the defense.
-  /// ExecMode::Int8 requires a prior prepare_quantized() and throws
-  /// std::runtime_error otherwise.
+  /// respective detector-only/no-defense behaviour. Each distinct forward
+  /// runs once per call (one Forwards shared by the detectors, the
+  /// reformer and the classifier). Const (and callable on a const
+  /// pipeline): serving never mutates the defense. ExecMode::Int8
+  /// requires a prior prepare_quantized() and throws std::runtime_error
+  /// otherwise.
   DefenseOutcome classify(const Tensor& batch,
                           DefenseScheme scheme = DefenseScheme::Full,
                           ExecMode mode = ExecMode::Float) const;
@@ -121,12 +121,8 @@ class MagNetPipeline {
   std::shared_ptr<nn::Sequential> classifier_;
   std::vector<std::shared_ptr<Detector>> detectors_;
   std::shared_ptr<Reformer> reformer_;
-  // Int8 execution bank (prepare_quantized): clones aligned 1:1 with the
-  // float members; q_detectors_[i] mirrors detectors_[i] with copied
-  // thresholds.
-  std::shared_ptr<nn::Sequential> q_classifier_;
-  std::vector<std::shared_ptr<Detector>> q_detectors_;
-  std::shared_ptr<Reformer> q_reformer_;
+  // Float model -> int8 clone (prepare_quantized).
+  Forwards::Clones int8_;
 };
 
 }  // namespace adv::magnet

@@ -10,7 +10,8 @@
 //
 // Caching contract:
 //   * forward(x, Train|Eval) populates the backward cache; forward(x,
-//     Infer) may skip it, so no backward() may follow an Infer pass.
+//     Infer) leaves every backward cache untouched, so a backward() after
+//     an Infer pass still differentiates the last caching forward.
 //   * backward() treats the cache as READ-ONLY: it may be called any
 //     number of times after one caching forward, each call propagating a
 //     new output-gradient seed through the same cached activations
@@ -40,7 +41,8 @@ class Layer {
 
   /// Computes the layer output for `input` (leading dimension = batch).
   /// Mode::Train toggles train-only behaviour (dropout); Mode::Infer
-  /// skips backward caching (see the caching contract above).
+  /// neither reads nor writes backward caches (see the caching contract
+  /// above).
   virtual Tensor forward(const Tensor& input, Mode mode) = 0;
 
   /// Given d(loss)/d(output), accumulates parameter gradients and returns

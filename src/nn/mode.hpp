@@ -7,8 +7,9 @@ namespace adv::nn {
 /// deterministic inference path. Attacks differentiate in Eval — backward
 /// caches are populated in Train and Eval, so those forward passes remain
 /// differentiable. Infer is Eval minus the backward caches: numerically
-/// identical outputs, but layers skip the input/output caching copies, so
-/// calling backward() after an Infer forward is undefined. Use it for
+/// identical outputs, but layers neither make nor overwrite backward
+/// caches, so a backward() differentiates the last Train/Eval forward even
+/// when Infer passes ran in between. Use it for
 /// forward-only passes (candidate scoring inside attacks, prediction,
 /// detector scoring).
 enum class Mode { Train, Eval, Infer };

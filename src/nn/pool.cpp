@@ -23,9 +23,9 @@ void require_poolable(const Tensor& input, std::size_t window,
 
 }  // namespace
 
-Tensor AvgPool2d::forward(const Tensor& input, Mode /*mode*/) {
+Tensor AvgPool2d::forward(const Tensor& input, Mode mode) {
   require_poolable(input, window_, "AvgPool2d");
-  input_shape_ = input.shape();
+  if (caches_for_backward(mode)) input_shape_ = input.shape();
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h / window_, ow = w / window_;
@@ -76,13 +76,15 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
 
 Tensor MaxPool2d::forward(const Tensor& input, Mode mode) {
   require_poolable(input, window_, "MaxPool2d");
-  input_shape_ = input.shape();
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h / window_, ow = w / window_;
   Tensor out = make_buffer({n, c, oh, ow});
   const bool cache = caches_for_backward(mode);
-  if (cache) argmax_.assign(out.numel(), 0);
+  if (cache) {
+    input_shape_ = input.shape();
+    argmax_.assign(out.numel(), 0);
+  }
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = input.data() + nc * h * w;
     float* dst = out.data() + nc * oh * ow;
@@ -123,12 +125,12 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Upsample2d::forward(const Tensor& input, Mode /*mode*/) {
+Tensor Upsample2d::forward(const Tensor& input, Mode mode) {
   if (input.rank() != 4) {
     throw std::invalid_argument("Upsample2d: expected NCHW, got " +
                                 input.shape_string());
   }
-  input_shape_ = input.shape();
+  if (caches_for_backward(mode)) input_shape_ = input.shape();
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h * factor_, ow = w * factor_;

@@ -6,12 +6,12 @@
 
 namespace adv::nn {
 
-Tensor Flatten::forward(const Tensor& input, Mode /*mode*/) {
+Tensor Flatten::forward(const Tensor& input, Mode mode) {
   if (input.rank() < 2) {
     throw std::invalid_argument("Flatten: expected rank >= 2, got " +
                                 input.shape_string());
   }
-  input_shape_ = input.shape();
+  if (caches_for_backward(mode)) input_shape_ = input.shape();
   const std::size_t n = input.dim(0);
   return input.reshaped({n, input.numel() / n});
 }
@@ -31,8 +31,8 @@ Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
 }
 
 Tensor Dropout::forward(const Tensor& input, Mode mode) {
-  last_training_ = is_training(mode);
-  if (!last_training_ || rate_ == 0.0f) return input;
+  if (caches_for_backward(mode)) last_training_ = is_training(mode);
+  if (!is_training(mode) || rate_ == 0.0f) return input;
   const float keep = 1.0f - rate_;
   const float scale = 1.0f / keep;
   mask_ = Tensor(input.shape());

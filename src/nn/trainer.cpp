@@ -231,14 +231,17 @@ Tensor predict(Sequential& model, const Tensor& images,
   return out;
 }
 
-std::vector<int> predict_labels(Sequential& model, const Tensor& images,
-                                std::size_t batch_size) {
-  const Tensor logits = predict(model, images, batch_size);
+std::vector<int> argmax_labels(const Tensor& logits) {
   std::vector<int> labels(logits.dim(0));
   for (std::size_t r = 0; r < logits.dim(0); ++r) {
     labels[r] = static_cast<int>(argmax_row(logits, r));
   }
   return labels;
+}
+
+std::vector<int> predict_labels(Sequential& model, const Tensor& images,
+                                std::size_t batch_size) {
+  return argmax_labels(predict(model, images, batch_size));
 }
 
 float classification_accuracy(Sequential& model, const Tensor& images,

@@ -48,6 +48,9 @@ TrainStats fit_autoencoder(Sequential& model, const Tensor& images,
 Tensor predict(Sequential& model, const Tensor& images,
                std::size_t batch_size = 128);
 
+/// Argmax label of each row of a [N, K] logit tensor.
+std::vector<int> argmax_labels(const Tensor& logits);
+
 /// Argmax labels from a classifier's logits.
 std::vector<int> predict_labels(Sequential& model, const Tensor& images,
                                 std::size_t batch_size = 128);

@@ -109,7 +109,9 @@ class FixedDetector final : public magnet::Detector {
  public:
   explicit FixedDetector(std::vector<float> scores)
       : scores_(std::move(scores)) {}
-  std::vector<float> scores(const Tensor&) const override { return scores_; }
+  std::vector<float> scores_from(magnet::Forwards&) const override {
+    return scores_;
+  }
   std::string name() const override { return "fixed"; }
 
  private:

@@ -29,6 +29,7 @@
 #include "nn/loss.hpp"
 #include "nn/pool.hpp"
 #include "nn/structural.hpp"
+#include "param_names.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -151,6 +152,10 @@ struct ConvCase {
   nn::Conv2dConfig cfg;
   Shape input_shape;
 };
+
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  test::print_conv_case(c.cfg, c.input_shape, os);
+}
 
 class GradCheckConv : public ::testing::TestWithParam<ConvCase> {};
 
@@ -463,8 +468,9 @@ TEST(GradCheck, ReconErrorTermGradient) {
   const float thr =
       0.5f * *std::min_element(scores.begin(), scores.end());
   ASSERT_GT(thr, 0.0f);
-  magnet::ReconErrorTerm term(ae, 2, thr, "recon-l2");
-  check_aux_term_grad(term, x, {0.7f, -1.3f}, "ReconErrorTerm");
+  det.set_threshold(thr);
+  check_aux_term_grad(*det.evasion_term(), x, {0.7f, -1.3f},
+                      "ReconErrorTerm");
 }
 
 TEST(GradCheck, JsdEvasionTermGradient) {
@@ -480,8 +486,8 @@ TEST(GradCheck, JsdEvasionTermGradient) {
   const float thr =
       0.5f * *std::min_element(scores.begin(), scores.end());
   ASSERT_GT(thr, 0.0f);
-  magnet::JsdEvasionTerm term(ae, clf, temperature, thr, "jsd");
-  check_aux_term_grad(term, x, {1.0f, 0.5f}, "JsdEvasionTerm");
+  det.set_threshold(thr);
+  check_aux_term_grad(*det.evasion_term(), x, {1.0f, 0.5f}, "JsdEvasionTerm");
 }
 
 }  // namespace

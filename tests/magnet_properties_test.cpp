@@ -12,7 +12,8 @@ namespace {
 
 class SumDetector final : public Detector {
  public:
-  std::vector<float> scores(const Tensor& batch) const override {
+  std::vector<float> scores_from(Forwards& f) const override {
+    const Tensor& batch = f.input();
     const std::size_t n = batch.dim(0);
     const std::size_t row = batch.numel() / n;
     std::vector<float> out(n);

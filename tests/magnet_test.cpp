@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numbers>
 
@@ -11,7 +12,11 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "nn/pool.hpp"
 #include "nn/structural.hpp"
+#include "nn/trainer.hpp"
+#include "obs/metrics.hpp"
+#include "quant/quantize.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace adv::magnet {
@@ -21,7 +26,8 @@ namespace {
 /// tested against hand-computable quantiles.
 class MeanDetector final : public Detector {
  public:
-  std::vector<float> scores(const Tensor& batch) const override {
+  std::vector<float> scores_from(Forwards& f) const override {
+    const Tensor& batch = f.input();
     const std::size_t n = batch.dim(0);
     const std::size_t row = batch.numel() / n;
     std::vector<float> out(n);
@@ -423,6 +429,172 @@ TEST(Pipeline, ClassifyIsCallableOnConstPipeline) {
 }
 
 // --- auto-encoder builders ---------------------------------------------------
+
+// --- one forward per distinct node; one bank for both exec modes --------
+//
+// Small real models (MagNet AE architectures on 8x8 images, a conv
+// classifier) in the two bank shapes build_magnet makes: CIFAR's (one AE
+// behind recon_l1, recon_l2, jsd_T10, jsd_T40 and the reformer) and
+// MNIST's (deep AE for recon_l2 and the reformer, shallow AE for recon_l1,
+// optionally the JSD pair on the deep AE).
+
+std::shared_ptr<nn::Sequential> small_ae(AeArch arch, std::uint64_t seed) {
+  Rng rng(seed);
+  AutoencoderConfig cfg;
+  cfg.arch = arch;
+  return std::make_shared<nn::Sequential>(build_autoencoder(cfg, rng));
+}
+
+std::shared_ptr<nn::Sequential> small_classifier() {
+  Rng rng(77);
+  auto clf = std::make_shared<nn::Sequential>();
+  clf->emplace<nn::Conv2d>(nn::Conv2d::same(1, 4), rng);
+  clf->emplace<nn::ReLU>();
+  clf->emplace<nn::MaxPool2d>(2);
+  clf->emplace<nn::Flatten>();
+  clf->emplace<nn::Linear>(4 * 4 * 4, 10, rng);
+  return clf;
+}
+
+Tensor small_images(std::size_t n, std::uint64_t seed) {
+  Tensor x({n, 1, 8, 8});
+  Rng rng(seed);
+  fill_uniform(x, rng, 0.0f, 1.0f);
+  return x;
+}
+
+struct Bank {
+  std::shared_ptr<nn::Sequential> clf, deep, shallow;
+  std::vector<std::shared_ptr<Detector>> detectors;
+};
+
+/// The detector list of build_magnet's CIFAR (`cifar`) or MNIST D (+JSD)
+/// pipeline, over `b`'s models.
+void add_detectors(Bank& b, bool cifar, bool jsd) {
+  b.detectors.clear();
+  if (cifar) {
+    b.detectors.push_back(std::make_shared<ReconstructionDetector>(b.deep, 1));
+    b.detectors.push_back(std::make_shared<ReconstructionDetector>(b.deep, 2));
+  } else {
+    b.detectors.push_back(std::make_shared<ReconstructionDetector>(b.deep, 2));
+    b.detectors.push_back(
+        std::make_shared<ReconstructionDetector>(b.shallow, 1));
+  }
+  if (jsd) {
+    b.detectors.push_back(std::make_shared<JsdDetector>(b.deep, b.clf, 10.0f));
+    b.detectors.push_back(std::make_shared<JsdDetector>(b.deep, b.clf, 40.0f));
+  }
+}
+
+/// Calibrated pipeline over `b`, with its int8 clones prepared.
+MagNetPipeline make_pipeline(const Bank& b, const Tensor& calib) {
+  MagNetPipeline pipe(b.clf);
+  for (const auto& d : b.detectors) pipe.add_detector(d);
+  pipe.set_reformer(std::make_shared<Reformer>(b.deep));
+  pipe.calibrate(calib, 0.25f);
+  pipe.prepare_quantized(calib);
+  return pipe;
+}
+
+Bank cifar_bank() {
+  Bank b{small_classifier(), small_ae(AeArch::Cifar, 5), nullptr, {}};
+  add_detectors(b, /*cifar=*/true, /*jsd=*/true);
+  return b;
+}
+
+Bank mnist_bank(bool jsd) {
+  Bank b{small_classifier(), small_ae(AeArch::MnistDeep, 6),
+         small_ae(AeArch::MnistShallow, 7), {}};
+  add_detectors(b, /*cifar=*/false, jsd);
+  return b;
+}
+
+void expect_same_bits(const std::vector<float>& a, const std::vector<float>& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+      << what;
+}
+
+TEST(Pipeline, FullClassifyRunsEachDistinctForwardOnce) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "obs pinned off by the environment";
+  const auto& calls =
+      obs::MetricsRegistry::global().counter("model/forward_calls");
+  const Tensor x = small_images(6, 11);
+  // CIFAR: AE(x), F(x), F(AE(x)). MNIST D: deep(x), shallow(x),
+  // F(deep(x)) — the reformer reuses the recon_l2 detector's deep(x).
+  for (const bool cifar : {true, false}) {
+    const MagNetPipeline pipe =
+        make_pipeline(cifar ? cifar_bank() : mnist_bank(false), x);
+    for (const ExecMode mode : {ExecMode::Float, ExecMode::Int8}) {
+      const std::uint64_t before = calls.value();
+      pipe.classify(x, DefenseScheme::Full, mode);
+      EXPECT_EQ(calls.value() - before, 3u)
+          << (cifar ? "CIFAR" : "MNIST D") << ", " << to_string(mode);
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
+TEST(Pipeline, Int8ClassifyReadsTheLiveThreshold) {
+  const Tensor x = small_images(6, 12);
+  MagNetPipeline pipe = make_pipeline(mnist_bank(true), x);
+  pipe.detector(0).set_threshold(0.123f);
+  const DefenseOutcome out =
+      pipe.classify(x, DefenseScheme::Full, ExecMode::Int8);
+  EXPECT_EQ(out.readings[0].threshold, 0.123f);
+}
+
+TEST(Pipeline, ClassifyMatchesStandaloneStagesBitwise) {
+  // classify shares forwards across stages; each reading must still equal
+  // its detector scoring alone, and the label the classifier's on the
+  // reformed (or raw) input. The int8 reference is the same bank built
+  // directly on quantize()d clones.
+  const Tensor x = small_images(7, 13);
+  const Tensor calib = small_images(6, 14);
+  for (const bool cifar : {true, false}) {
+    const Bank fb = cifar ? cifar_bank() : mnist_bank(true);
+    const MagNetPipeline pipe = make_pipeline(fb, calib);
+    Bank qb;
+    const auto q = [&](const std::shared_ptr<nn::Sequential>& m) {
+      return m ? std::make_shared<nn::Sequential>(quant::quantize(*m, calib))
+               : nullptr;
+    };
+    qb.clf = q(fb.clf);
+    qb.deep = q(fb.deep);
+    qb.shallow = q(fb.shallow);
+    add_detectors(qb, cifar, /*jsd=*/true);
+
+    for (const ExecMode mode : {ExecMode::Float, ExecMode::Int8}) {
+      const Bank& ref = mode == ExecMode::Float ? fb : qb;
+      for (const DefenseScheme scheme :
+           {DefenseScheme::None, DefenseScheme::DetectorOnly,
+            DefenseScheme::ReformerOnly, DefenseScheme::Full}) {
+        const std::string what = std::string(cifar ? "CIFAR" : "MNIST") +
+                                 ", " + to_string(mode) + ", " +
+                                 to_string(scheme);
+        const DefenseOutcome out = pipe.classify(x, scheme, mode);
+        const bool detect = scheme == DefenseScheme::DetectorOnly ||
+                            scheme == DefenseScheme::Full;
+        const bool reform = scheme == DefenseScheme::ReformerOnly ||
+                            scheme == DefenseScheme::Full;
+        ASSERT_EQ(out.readings.size(), detect ? ref.detectors.size() : 0u)
+            << what;
+        for (std::size_t i = 0; i < out.readings.size(); ++i) {
+          expect_same_bits(out.readings[i].scores,
+                           ref.detectors[i]->scores(x),
+                           what + ", " + out.readings[i].name);
+          EXPECT_EQ(out.readings[i].threshold, pipe.detector(i).threshold());
+        }
+        const Tensor input = reform ? Reformer(ref.deep).reform(x) : x;
+        EXPECT_EQ(out.predicted, nn::predict_labels(*ref.clf, input)) << what;
+      }
+    }
+  }
+}
 
 TEST(Autoencoder, ArchitecturesPreserveImageShape) {
   Rng rng(3);

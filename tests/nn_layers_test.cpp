@@ -10,6 +10,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -17,6 +19,7 @@
 #include "nn/pool.hpp"
 #include "nn/softmax.hpp"
 #include "nn/structural.hpp"
+#include "param_names.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
@@ -344,6 +347,10 @@ struct DirectIdCase {
   bool expect_direct;  // false: shape must fall back to im2col
 };
 
+void PrintTo(const DirectIdCase& c, std::ostream* os) {
+  test::print_conv_case(c.cfg, c.in, os);
+}
+
 class Conv2dDirectIdentity : public ::testing::TestWithParam<DirectIdCase> {};
 
 // The contract every perf PR in this repo clears: the new path must be
@@ -408,6 +415,35 @@ INSTANTIATE_TEST_SUITE_P(
         DirectIdCase{Conv2dConfig{1, 4, 3, 2, 1}, Shape({2, 1, 8, 8}), false},
         DirectIdCase{Conv2dConfig{1, 2, 3, 1, 3}, Shape({2, 1, 5, 5}),
                      false}));
+
+// Caching contract (layer.hpp): an Infer forward leaves every backward
+// cache untouched, so a backward after it still differentiates the last
+// caching forward — even when the Infer batch has a different size.
+TEST(LayerCachingContract, InferPassLeavesBackwardCachesUntouched) {
+  const std::vector<std::function<std::unique_ptr<Layer>()>> makers = {
+      [] { return std::make_unique<Flatten>(); },
+      [] { return std::make_unique<AvgPool2d>(2); },
+      [] { return std::make_unique<MaxPool2d>(2); },
+      [] { return std::make_unique<Upsample2d>(2); },
+      [] { return std::make_unique<Dropout>(0.5f, 7); },
+  };
+  const Tensor a = random_input({2, 3, 4, 4}, 111);
+  const Tensor b = random_input({5, 3, 4, 4}, 112);
+  for (const auto& make : makers) {
+    for (const Mode mode : {Mode::Eval, Mode::Train}) {
+      auto reference = make();
+      auto probed = make();
+      const std::string what = reference->name() +
+                               (mode == Mode::Eval ? " (Eval)" : " (Train)");
+      const Tensor y = reference->forward(a, mode);
+      probed->forward(a, mode);
+      probed->forward(b, Mode::Infer);
+      const Tensor g = random_input(y.shape(), 113);
+      expect_bitwise_equal(probed->backward(g), reference->backward(g),
+                           what + " input grad");
+    }
+  }
+}
 
 TEST(Conv2dTest, FusedEpilogueMatchesSeparateActivationBitwise) {
   // forward_fused must equal conv-then-activation on BOTH paths (the

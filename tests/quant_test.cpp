@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -71,6 +72,10 @@ struct LinearShape {
   std::size_t batch, in, out;
 };
 
+void PrintTo(const LinearShape& s, std::ostream* os) {
+  *os << "b" << s.batch << "_in" << s.in << "_out" << s.out;
+}
+
 class QuantLinearShapes : public ::testing::TestWithParam<LinearShape> {};
 
 TEST_P(QuantLinearShapes, MatchesFloatWithinAnalyticBound) {
@@ -106,6 +111,11 @@ INSTANTIATE_TEST_SUITE_P(
 struct ConvShape {
   std::size_t batch, in_c, out_c, kernel, hw;
 };
+
+void PrintTo(const ConvShape& s, std::ostream* os) {
+  *os << "b" << s.batch << "_c" << s.in_c << "o" << s.out_c << "k" << s.kernel
+      << "_hw" << s.hw;
+}
 
 class QuantConvShapes : public ::testing::TestWithParam<ConvShape> {};
 

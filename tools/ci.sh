@@ -27,6 +27,15 @@ cmake --build "$build_dir" -j"$jobs"
 echo "== ctest =="
 ctest --test-dir "$build_dir" --output-on-failure -j"$jobs"
 
+# Test ids must be the same in every build tree. gtest prints a struct
+# parameter without a PrintTo overload as raw bytes (pointers included),
+# and gtest_discover_tests puts that print into the ctest id.
+if ctest --test-dir "$build_dir" -N | grep -q "byte object"; then
+  echo "FAIL: ctest ids embed raw parameter bytes (add a PrintTo):" >&2
+  ctest --test-dir "$build_dir" -N | grep "byte object" >&2
+  exit 1
+fi
+
 echo "== fault injection (ADV_FAULT, label: fault) =="
 # Re-run the recovery-path tests with ADV_FAULT set in the environment.
 # The site is benign (nothing in the tests hits `ci.smoke`) — the point is
