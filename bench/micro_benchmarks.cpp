@@ -411,7 +411,7 @@ void write_conv_json(const char* path) {
 
 /// Float-vs-int8 A/B (BENCH_int8.json): the quantized GEMM kernel against
 /// the float one on the attacked classifier's forward shapes (the im2row
-/// products and the fc head — the shapes ExecMode::Int8 serving actually
+/// products and the fc head — the shapes int8 serving (--quant) actually
 /// runs), plus a whole-model quantized-vs-float forward. Records which
 /// int8 kernel the build dispatched to and whether it accumulates exactly
 /// (AVX2 maddubs saturates; VNNI and scalar do not). tools/ci.sh gates

@@ -1,12 +1,13 @@
 // Float -> int8 attack-transfer study (DESIGN.md §17): adversarial
 // examples are crafted with full-precision gradients against the FLOAT
 // defended pipeline (the only gradients an attacker can take — the int8
-// path has no backward), then replayed through BOTH execution banks of
-// the same pipeline. For every attack x defense-scheme cell the bench
-// reports the attack success rate under float and int8 execution and
-// their delta, plus the per-detector mean |score drift| the quantized
-// models induce — the quantity that says whether the float-calibrated
-// thresholds are still meaningful on the int8 path.
+// path has no backward), then replayed through the float pipeline AND its
+// int8 twin (MagNetPipeline::quantized, which shares the detectors). For
+// every attack x defense-scheme cell the bench reports the attack success
+// rate under float and int8 execution and their delta, plus the
+// per-detector mean |score drift| the quantized models induce — the
+// quantity that says whether the float-calibrated thresholds are still
+// meaningful on the int8 path.
 //
 // Emits BENCH_quant_transfer.json (gauges under qtransfer/):
 //   qtransfer/mnist/<attack>/<scheme>/asr_float_pct | asr_int8_pct |
@@ -43,13 +44,13 @@ const char* scheme_key(magnet::DefenseScheme s) {
   return "?";
 }
 
-/// Accuracy (%) of the pipeline on `images` under one scheme and exec
-/// mode: a row counts iff no detector rejected it AND the (possibly
-/// reformed) prediction matches. ASR is its complement.
+/// Accuracy (%) of the pipeline on `images` under one scheme: a row
+/// counts iff no detector rejected it AND the (possibly reformed)
+/// prediction matches. ASR is its complement.
 float defended_acc_pct(const magnet::MagNetPipeline& pipe,
                        const Tensor& images, const std::vector<int>& labels,
-                       magnet::DefenseScheme scheme, magnet::ExecMode mode) {
-  const magnet::DefenseOutcome out = pipe.classify(images, scheme, mode);
+                       magnet::DefenseScheme scheme) {
+  const magnet::DefenseOutcome out = pipe.classify(images, scheme);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (!out.rejected[i] && out.predicted[i] == labels[i]) ++correct;
@@ -60,7 +61,8 @@ float defended_acc_pct(const magnet::MagNetPipeline& pipe,
 
 void transfer_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
   auto& reg = obs::MetricsRegistry::global();
-  auto pipe = core::build_magnet(zoo, id, core::MagnetVariant::Default);
+  const auto pipe = core::build_magnet(zoo, id, core::MagnetVariant::Default);
+  const auto qpipe = pipe->quantized(core::quant_calibration(zoo, id));
   const auto& labels = zoo.attack_set(id).labels;
   const std::string ds = core::to_string(id);
 
@@ -82,12 +84,10 @@ void transfer_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
   for (const Crafted& c : crafted) {
     const std::string base = "qtransfer/" + ds + "/" + c.name + "/";
     for (const magnet::DefenseScheme s : kSchemes) {
-      const float asr_f = 100.0f - defended_acc_pct(*pipe, c.result.adversarial,
-                                                    labels, s,
-                                                    magnet::ExecMode::Float);
-      const float asr_i = 100.0f - defended_acc_pct(*pipe, c.result.adversarial,
-                                                    labels, s,
-                                                    magnet::ExecMode::Int8);
+      const float asr_f =
+          100.0f - defended_acc_pct(*pipe, c.result.adversarial, labels, s);
+      const float asr_i =
+          100.0f - defended_acc_pct(*qpipe, c.result.adversarial, labels, s);
       const std::string cell = base + scheme_key(s) + "/";
       reg.gauge(cell + "asr_float_pct").set(asr_f);
       reg.gauge(cell + "asr_int8_pct").set(asr_i);
@@ -98,11 +98,9 @@ void transfer_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
     // Per-detector score drift on the crafted batch: how far each int8
     // detector reading moves from the float one whose threshold it keeps.
     const magnet::DefenseOutcome of = pipe->classify(
-        c.result.adversarial, magnet::DefenseScheme::DetectorOnly,
-        magnet::ExecMode::Float);
-    const magnet::DefenseOutcome oi = pipe->classify(
-        c.result.adversarial, magnet::DefenseScheme::DetectorOnly,
-        magnet::ExecMode::Int8);
+        c.result.adversarial, magnet::DefenseScheme::DetectorOnly);
+    const magnet::DefenseOutcome oi = qpipe->classify(
+        c.result.adversarial, magnet::DefenseScheme::DetectorOnly);
     for (std::size_t d = 0; d < of.readings.size(); ++d) {
       double drift = 0.0;
       for (std::size_t i = 0; i < of.readings[d].scores.size(); ++i) {
@@ -121,11 +119,9 @@ void transfer_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
   // the quantization-accuracy contract ci.sh gates at <= 0.5%.
   const auto& test = zoo.dataset(id).test;
   const float top1_f = defended_acc_pct(*pipe, test.images, test.labels,
-                                        magnet::DefenseScheme::None,
-                                        magnet::ExecMode::Float);
-  const float top1_i = defended_acc_pct(*pipe, test.images, test.labels,
-                                        magnet::DefenseScheme::None,
-                                        magnet::ExecMode::Int8);
+                                        magnet::DefenseScheme::None);
+  const float top1_i = defended_acc_pct(*qpipe, test.images, test.labels,
+                                        magnet::DefenseScheme::None);
   reg.gauge("qtransfer/" + ds + "/clean_top1_float_pct").set(top1_f);
   reg.gauge("qtransfer/" + ds + "/clean_top1_int8_pct").set(top1_i);
   reg.gauge("qtransfer/" + ds + "/clean_top1_drift_pct")

@@ -25,11 +25,16 @@ enum class MagnetVariant { Default, Jsd, Wide, WideJsd };
 
 const char* to_string(MagnetVariant v);
 
-/// Builds and calibrates the requested MagNet pipeline. `ae_loss` selects
-/// the auto-encoder reconstruction training loss (paper Figs. 12/13).
+/// Builds and calibrates the requested float MagNet pipeline. `ae_loss`
+/// selects the auto-encoder reconstruction training loss (paper Figs.
+/// 12/13); MagNetPipeline::quantized derives the int8 one.
 std::shared_ptr<magnet::MagNetPipeline> build_magnet(
     ModelZoo& zoo, DatasetId id, MagnetVariant variant,
     magnet::ReconLoss ae_loss = magnet::ReconLoss::Mse);
+
+/// The rows int8 activation scales calibrate on: the first min(256, n)
+/// clean validation images of `id`. Pass to MagNetPipeline::quantized.
+Tensor quant_calibration(ModelZoo& zoo, DatasetId id);
 
 /// An AttackTarget plus everything that must outlive it. The target holds
 /// plain references into the owned models (the attack layer is ownership

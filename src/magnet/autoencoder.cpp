@@ -5,7 +5,6 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/pool.hpp"
-#include "tensor/tensor_ops.hpp"
 
 namespace adv::magnet {
 
@@ -64,11 +63,6 @@ std::shared_ptr<nn::Sequential> train_autoencoder(const AutoencoderConfig& cfg,
   }
   if (stats) *stats = std::move(s);
   return model;
-}
-
-float mean_reconstruction_error(nn::Sequential& ae, const Tensor& images) {
-  const Tensor recon = nn::predict(ae, images);
-  return l1_distance(recon, images) / static_cast<float>(images.numel());
 }
 
 }  // namespace adv::magnet

@@ -49,8 +49,4 @@ std::shared_ptr<nn::Sequential> train_autoencoder(
     const AutoencoderConfig& cfg, const Tensor& images,
     nn::TrainStats* stats = nullptr);
 
-/// Mean per-element reconstruction error of `ae` over `images` (for tests
-/// and sanity reporting).
-float mean_reconstruction_error(nn::Sequential& ae, const Tensor& images);
-
 }  // namespace adv::magnet

@@ -36,8 +36,8 @@ namespace adv::magnet {
 
 /// Model outputs on one input, each computed at most once: model(x) and
 /// model(inner(x)). With a clone map every model runs as its clone (the
-/// int8 bank, MagNetPipeline::prepare_quantized). One per call; not
-/// thread-safe.
+/// int8 models of a MagNetPipeline::quantized pipeline). One per call;
+/// not thread-safe.
 class Forwards {
  public:
   /// Float model -> the clone that runs in its place.
@@ -76,7 +76,7 @@ class Detector {
 
   virtual std::string name() const = 0;
 
-  /// Every model scores_from runs (prepare_quantized clones them).
+  /// Every model scores_from runs (MagNetPipeline::quantized clones them).
   virtual std::vector<std::shared_ptr<nn::Sequential>> models() const {
     return {};
   }

@@ -18,14 +18,6 @@ const char* to_string(DefenseScheme s) {
   return "?";
 }
 
-const char* to_string(ExecMode m) {
-  switch (m) {
-    case ExecMode::Float: return "float";
-    case ExecMode::Int8: return "int8";
-  }
-  return "?";
-}
-
 DefenseOutcome DefenseOutcome::slice_rows(std::size_t begin,
                                           std::size_t end) const {
   if (begin > end || end > predicted.size()) {
@@ -78,14 +70,16 @@ void MagNetPipeline::calibrate(const Tensor& clean_validation, float fpr) {
   for (auto& d : detectors_) d->calibrate(clean_validation, fpr);
 }
 
-void MagNetPipeline::prepare_quantized(const Tensor& calib) {
+std::shared_ptr<MagNetPipeline> MagNetPipeline::quantized(
+    const Tensor& calib) const {
+  auto q = std::make_shared<MagNetPipeline>(*this);
   // One clone per distinct float model: the reformer AE is usually also a
   // detector AE, and the classifier feeds every JSD detector.
-  int8_.clear();
+  q->int8_.clear();
   const auto clone = [&](const std::shared_ptr<nn::Sequential>& m) {
-    if (int8_.count(m.get()) == 0) {
-      int8_.emplace(m.get(), std::make_shared<nn::Sequential>(
-                                 quant::quantize(*m, calib)));
+    if (q->int8_.count(m.get()) == 0) {
+      q->int8_.emplace(m.get(), std::make_shared<nn::Sequential>(
+                                    quant::quantize(*m, calib)));
     }
   };
   clone(classifier_);
@@ -93,16 +87,12 @@ void MagNetPipeline::prepare_quantized(const Tensor& calib) {
     for (const auto& m : d->models()) clone(m);
   }
   if (reformer_) clone(reformer_->autoencoder());
+  return q;
 }
 
 DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
-                                        DefenseScheme scheme,
-                                        ExecMode mode) const {
-  const bool int8 = mode == ExecMode::Int8;
-  if (int8 && !quantized_ready()) {
-    throw std::runtime_error(
-        "classify: ExecMode::Int8 requires prepare_quantized()");
-  }
+                                        DefenseScheme scheme) const {
+  const bool int8 = !int8_.empty();
   Forwards fwd(batch, int8 ? &int8_ : nullptr);
 
   const std::size_t n = batch.dim(0);
@@ -149,12 +139,11 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
 
 float MagNetPipeline::clean_accuracy(const Tensor& images,
                                      const std::vector<int>& labels,
-                                     DefenseScheme scheme,
-                                     ExecMode mode) const {
+                                     DefenseScheme scheme) const {
   if (images.dim(0) != labels.size()) {
     throw std::invalid_argument("clean_accuracy: image/label count mismatch");
   }
-  const DefenseOutcome o = classify(images, scheme, mode);
+  const DefenseOutcome o = classify(images, scheme);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     // A rejected clean input counts as an error (it is not classified).

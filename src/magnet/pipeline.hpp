@@ -6,7 +6,8 @@
 //
 // DefenseScheme selects which stages are active, reproducing the paper's
 // supplementary ablation (no defense / detector only / reformer only /
-// detector & reformer).
+// detector & reformer). A pipeline runs its float models, or, when built
+// by quantized(), their int8 clones (DESIGN.md §17).
 #pragma once
 
 #include <memory>
@@ -20,15 +21,6 @@ namespace adv::magnet {
 enum class DefenseScheme { None, DetectorOnly, ReformerOnly, Full };
 
 const char* to_string(DefenseScheme s);
-
-/// Execution backend for classify(): the float models, or the per-channel
-/// int8 clones built by prepare_quantized() (DESIGN.md §17). Both modes
-/// score with the same detector objects, so the thresholds are the
-/// float-calibrated ones — int8 changes the scores, never the decision
-/// rule, so threshold drift is measurable.
-enum class ExecMode { Float, Int8 };
-
-const char* to_string(ExecMode m);
 
 /// One detector's raw output on a batch: its name, calibrated threshold,
 /// and per-row scores. reject_row(i) reproduces the detector's decision
@@ -87,41 +79,40 @@ class MagNetPipeline {
   nn::Sequential& classifier() { return *classifier_; }
 
   /// Calibrates every detector's threshold at `fpr` on clean validation
-  /// images (MagNet's procedure). Both exec modes use these thresholds.
+  /// images (MagNet's procedure), always from float scores.
   void calibrate(const Tensor& clean_validation, float fpr);
 
-  /// Builds the per-channel int8 clone (quant::quantize) of every distinct
-  /// model the defense runs — the classifier, the reformer's auto-encoder
-  /// and each detector's models() — calibrating activation scales on
-  /// `calib`. Only models are cloned: ExecMode::Int8 runs the same
-  /// detectors and reformer with each model resolved to its clone.
-  void prepare_quantized(const Tensor& calib);
-
-  /// True once prepare_quantized() has run (required for ExecMode::Int8).
-  bool quantized_ready() const { return !int8_.empty(); }
+  /// This defense run on per-channel int8 clones (quant::quantize) of
+  /// every distinct model — the classifier, the reformer's auto-encoder
+  /// and each detector's models() — with activation scales calibrated on
+  /// `calib` (core::quant_calibration picks the zoo's rows). Only models
+  /// are cloned: the result shares this pipeline's classifier, Detector
+  /// objects and reformer, so each threshold exists once and int8 scores
+  /// are judged against the float-calibrated thresholds. Runs the float
+  /// models, so it counts as a classify() caller.
+  std::shared_ptr<MagNetPipeline> quantized(const Tensor& calib) const;
 
   /// Runs the defense. Detectors must be calibrated when the scheme uses
   /// them; a Full/ReformerOnly scheme without a reformer degrades to the
   /// respective detector-only/no-defense behaviour. Each distinct forward
   /// runs once per call (one Forwards shared by the detectors, the
-  /// reformer and the classifier). Const (and callable on a const
-  /// pipeline): serving never mutates the defense. ExecMode::Int8
-  /// requires a prior prepare_quantized() and throws std::runtime_error
-  /// otherwise.
+  /// reformer and the classifier). Not reentrant: the models' layer
+  /// caches and workspace arena change on every call, so each pipeline
+  /// takes one caller at a time (the serve batcher serializes its calls;
+  /// tests and benchmarks that need a reference build a separate
+  /// pipeline).
   DefenseOutcome classify(const Tensor& batch,
-                          DefenseScheme scheme = DefenseScheme::Full,
-                          ExecMode mode = ExecMode::Float) const;
+                          DefenseScheme scheme = DefenseScheme::Full) const;
 
   /// Accuracy on clean data: fraction neither rejected nor misclassified.
   float clean_accuracy(const Tensor& images, const std::vector<int>& labels,
-                       DefenseScheme scheme = DefenseScheme::Full,
-                       ExecMode mode = ExecMode::Float) const;
+                       DefenseScheme scheme = DefenseScheme::Full) const;
 
  private:
   std::shared_ptr<nn::Sequential> classifier_;
   std::vector<std::shared_ptr<Detector>> detectors_;
   std::shared_ptr<Reformer> reformer_;
-  // Float model -> int8 clone (prepare_quantized).
+  // Float model -> int8 clone; empty unless built by quantized().
   Forwards::Clones int8_;
 };
 

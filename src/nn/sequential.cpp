@@ -89,31 +89,26 @@ Tensor Sequential::forward(const Tensor& input, Mode mode) {
 Tensor Sequential::backward(const Tensor& grad_output) {
   sync_workspace();
   if (layers_.empty()) return grad_output;
-  if (obs::enabled()) {
+  const bool instr = obs::enabled();
+  if (instr) {
     sync_obs_timers();
     // One backward call == one gradient query: the attack metrics derive
     // their gradient-query counts from this counter's deltas.
     static obs::Counter& calls =
         obs::MetricsRegistry::global().counter("model/backward_calls");
     calls.add(1);
-    Tensor g;
-    {
-      obs::ScopedTimer t(obs_timers_.back().backward);
-      g = layers_.back()->backward(grad_output);
-    }
-    for (std::size_t i = layers_.size() - 1; i-- > 0;) {
-      obs::ScopedTimer t(obs_timers_[i].backward);
-      Tensor next = layers_[i]->backward(g);
-      ws_->release(std::move(g));
-      g = std::move(next);
-    }
-    return g;
   }
-  Tensor g = layers_.back()->backward(grad_output);
-  for (std::size_t i = layers_.size() - 1; i-- > 0;) {
-    Tensor next = layers_[i]->backward(g);
-    ws_->release(std::move(g));
+  Tensor g;
+  bool have_g = false;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    Tensor next;
+    {
+      obs::ScopedTimer t(instr ? obs_timers_[i].backward : nullptr);
+      next = layers_[i]->backward(have_g ? g : grad_output);
+    }
+    if (have_g) ws_->release(std::move(g));  // consumed by this step
     g = std::move(next);
+    have_g = true;
   }
   return g;
 }

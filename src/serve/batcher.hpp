@@ -11,9 +11,11 @@
 //   * flush_deadline — a batch closes this long after work first became
 //     available, so a lone request is never parked waiting for company.
 //
-// Only requests with the SAME defense scheme, execution mode (float vs
-// int8) and per-row image shape are coalesced (earlier compatible requests are never reordered behind later
-// ones; incompatible ones simply wait for the next batch). Because every
+// Only requests with the SAME defense scheme and per-row image shape are
+// coalesced (earlier compatible requests are never reordered behind later
+// ones; incompatible ones simply wait for the next batch). Float or int8
+// is not a per-request choice: it is whichever pipeline the factory
+// builds (MagNetPipeline::quantized for int8). Because every
 // stage of MagNetPipeline::classify is row-independent — detector scores,
 // the reformer AE and the classifier forward all process rows separately,
 // and the blocked GEMM accumulates each output row in a K-order
@@ -23,9 +25,9 @@
 // alone. tests/serve_test.cpp and the serve_bench CI gate assert this.
 //
 // All model execution happens on one thread at a time: classify() is
-// const but the underlying Sequentials mutate layer caches and the
-// per-model Workspace arena, so serializing passes is what makes the
-// shared pipeline safe under concurrent clients (and is also what lets
+// const but not reentrant (the underlying Sequentials mutate layer caches
+// and the per-model Workspace arena), so serializing passes is what makes
+// the shared pipeline safe under concurrent clients (and is also what lets
 // the arena's steady-state reuse work — one pass in flight at a time).
 //
 // Overload semantics (time-shaped faults; crash-shaped ones below):
@@ -152,15 +154,12 @@ class MicroBatcher {
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
   /// Enqueues `rows` (rank-4, leading dim = row count) for classification
-  /// under `scheme`, executed under `mode` (ExecMode::Int8 requires the
-  /// pipeline to have prepare_quantized() done — the zoo factory always
-  /// does). Thread-safe; returns immediately — possibly with an
+  /// under `scheme`. Thread-safe; returns immediately — possibly with an
   /// already-resolved future (admission shed, stopped batcher, bad
   /// shape). `deadline` > 0 bounds how long the request may wait in the
   /// queue (enforced at dequeue); 0 waits as long as it takes.
   std::future<ServeResult> submit(
       Tensor rows, magnet::DefenseScheme scheme,
-      magnet::ExecMode mode = magnet::ExecMode::Float,
       std::chrono::milliseconds deadline = std::chrono::milliseconds{0});
 
   /// Graceful drain: finishes the in-flight batch, sheds everything
@@ -179,7 +178,6 @@ class MicroBatcher {
     Tensor rows;
     std::size_t row_count = 0;
     magnet::DefenseScheme scheme = magnet::DefenseScheme::Full;
-    magnet::ExecMode mode = magnet::ExecMode::Float;
     std::promise<ServeResult> promise;
     std::chrono::steady_clock::time_point enqueued;
     /// time_point::max() when the request carries no deadline.
@@ -198,7 +196,7 @@ class MicroBatcher {
 
   void run();
   /// Pops the maximal in-order prefix-compatible group: every queued
-  /// request matching the front one's (scheme, exec mode, row shape)
+  /// request matching the front one's (scheme, row shape)
   /// until max_batch_rows is reached; the rest keep their order.
   std::vector<Pending> take_group_locked();
   std::size_t queued_rows_locked() const;

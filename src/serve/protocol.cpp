@@ -90,15 +90,14 @@ const char* to_string(Status s) {
 
 std::vector<std::uint8_t> encode_classify_request(
     magnet::DefenseScheme scheme, const Tensor& batch,
-    std::uint32_t deadline_ms, bool quantized) {
+    std::uint32_t deadline_ms) {
   if (batch.rank() != 4) {
     throw ProtocolError("classify request batch must be rank-4 NCHW, got " +
                         batch.shape_string());
   }
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(MessageType::Classify));
-  w.u8(static_cast<std::uint8_t>(scheme) |
-       (quantized ? kSchemeQuantBit : std::uint8_t{0}));
+  w.u8(static_cast<std::uint8_t>(scheme));
   w.u16(static_cast<std::uint16_t>(
       deadline_ms > 0xFFFFu ? 0xFFFFu : deadline_ms));
   for (std::size_t i = 0; i < 4; ++i) {
@@ -125,9 +124,7 @@ Request decode_request(std::span<const std::uint8_t> body) {
     throw ProtocolError("unknown message type " + std::to_string(type));
   }
   req.type = MessageType::Classify;
-  const std::uint8_t scheme_byte = r.u8();
-  req.quantized = (scheme_byte & kSchemeQuantBit) != 0;
-  req.scheme = scheme_from_u8(scheme_byte & ~kSchemeQuantBit);
+  req.scheme = scheme_from_u8(r.u8());
   req.deadline_ms = r.u16();  // formerly reserved-zero: 0 = no deadline
   std::size_t dims[4];
   std::size_t numel = 1;

@@ -10,7 +10,8 @@
 // deployment would pin endianness at the object-store seam instead).
 //
 // Classify request body:
-//   u8 type=Classify, u8 scheme, u16 deadline_ms (0 = no deadline),
+//   u8 type=Classify, u8 scheme (a DefenseScheme, 0..3; any other value is
+//   a body-level ProtocolError), u16 deadline_ms (0 = no deadline),
 //   u32 dims[4] (NCHW), f32 payload[n*c*h*w]
 // (deadline_ms occupies what used to be a reserved-zero u16, so pre-
 // deadline encoders produce "no deadline" requests — wire-compatible.)
@@ -76,11 +77,6 @@ inline constexpr std::size_t kMaxRowsPerRequest = 4096;
 
 enum class MessageType : std::uint8_t { Classify = 1, Ping = 2 };
 
-/// High bit of the classify scheme byte: execute the request on the int8
-/// pipeline (magnet::ExecMode::Int8). The low 7 bits stay the
-/// DefenseScheme, so pre-quantization encoders (which only ever wrote
-/// 0..3) decode as float execution — wire-compatible by construction.
-inline constexpr std::uint8_t kSchemeQuantBit = 0x80;
 enum class Status : std::uint8_t {
   Ok = 0,
   Error = 1,             // degraded mode: the daemon tried and failed
@@ -131,9 +127,6 @@ class RemoteClosedError : public IoError {
 struct Request {
   MessageType type = MessageType::Ping;
   magnet::DefenseScheme scheme = magnet::DefenseScheme::Full;
-  /// True when the classify scheme byte carried kSchemeQuantBit: the
-  /// client asked for int8 execution.
-  bool quantized = false;
   std::uint16_t deadline_ms = 0;  // 0 = no deadline
   Tensor batch;                   // Classify only
 };
@@ -150,10 +143,9 @@ struct ClassifyResponse {
 // --- below is the only part that touches a file descriptor) -------------
 
 /// deadline_ms is clamped to the u16 wire field; 0 means no deadline.
-/// `quantized` sets kSchemeQuantBit on the scheme byte (int8 execution).
 std::vector<std::uint8_t> encode_classify_request(
     magnet::DefenseScheme scheme, const Tensor& batch,
-    std::uint32_t deadline_ms = 0, bool quantized = false);
+    std::uint32_t deadline_ms = 0);
 std::vector<std::uint8_t> encode_ping_request();
 Request decode_request(std::span<const std::uint8_t> body);
 

@@ -47,17 +47,14 @@ struct ServeConfig {
   BatchConfig batch;
   std::size_t max_body_bytes = kDefaultMaxBodyBytes;
   int listen_backlog = 64;
-  /// Execution mode for classify requests that do NOT set the wire's
-  /// kSchemeQuantBit (serve_daemon --quant flips this to Int8). Requests
-  /// that DO set the bit always run int8, regardless of this default.
-  magnet::ExecMode default_mode = magnet::ExecMode::Float;
 };
 
 class ServeDaemon {
  public:
   /// The factory is invoked lazily by the batcher (first request), not at
   /// construction — a daemon binds its socket fast and degrades to error
-  /// responses while models load or fail to.
+  /// responses while models load or fail to. Every request runs on the
+  /// pipeline it returns: a quantized() pipeline makes an int8 daemon.
   ServeDaemon(MicroBatcher::PipelineFactory factory, ServeConfig cfg);
   ~ServeDaemon();
   ServeDaemon(const ServeDaemon&) = delete;

@@ -63,6 +63,14 @@ TEST_F(IntegrationTest, MnistPipelineEndToEnd) {
       pipeline->clean_accuracy(ds.test.images, ds.test.labels);
   EXPECT_GT(def_acc, acc - 0.15f);
 
+  // So does its int8 twin (serve_daemon --quant), calibrated on the
+  // first min(256, n) validation rows.
+  const Tensor calib = quant_calibration(zoo, mnist);
+  EXPECT_EQ(calib.dim(0), ds.val.size());
+  const float int8_acc = pipeline->quantized(calib)->clean_accuracy(
+      ds.test.images, ds.test.labels);
+  EXPECT_NEAR(int8_acc, def_acc, 0.05f);
+
   // Attack set contains only correctly classified images.
   const auto& aset = zoo.attack_set(mnist);
   const auto pred = nn::predict_labels(*zoo.classifier(mnist), aset.images);

@@ -430,7 +430,7 @@ TEST(Pipeline, ClassifyIsCallableOnConstPipeline) {
 
 // --- auto-encoder builders ---------------------------------------------------
 
-// --- one forward per distinct node; one bank for both exec modes --------
+// --- one forward per distinct node; one bank for float and int8 ----------
 //
 // Small real models (MagNet AE architectures on 8x8 images, a conv
 // classifier) in the two bank shapes build_magnet makes: CIFAR's (one AE
@@ -486,13 +486,12 @@ void add_detectors(Bank& b, bool cifar, bool jsd) {
   }
 }
 
-/// Calibrated pipeline over `b`, with its int8 clones prepared.
+/// Calibrated float pipeline over `b`.
 MagNetPipeline make_pipeline(const Bank& b, const Tensor& calib) {
   MagNetPipeline pipe(b.clf);
   for (const auto& d : b.detectors) pipe.add_detector(d);
   pipe.set_reformer(std::make_shared<Reformer>(b.deep));
   pipe.calibrate(calib, 0.25f);
-  pipe.prepare_quantized(calib);
   return pipe;
 }
 
@@ -529,22 +528,26 @@ TEST(Pipeline, FullClassifyRunsEachDistinctForwardOnce) {
   for (const bool cifar : {true, false}) {
     const MagNetPipeline pipe =
         make_pipeline(cifar ? cifar_bank() : mnist_bank(false), x);
-    for (const ExecMode mode : {ExecMode::Float, ExecMode::Int8}) {
+    const std::shared_ptr<const MagNetPipeline> qpipe = pipe.quantized(x);
+    for (const MagNetPipeline* run : {&pipe, qpipe.get()}) {
       const std::uint64_t before = calls.value();
-      pipe.classify(x, DefenseScheme::Full, mode);
+      run->classify(x, DefenseScheme::Full);
       EXPECT_EQ(calls.value() - before, 3u)
-          << (cifar ? "CIFAR" : "MNIST D") << ", " << to_string(mode);
+          << (cifar ? "CIFAR" : "MNIST D") << ", "
+          << (run == &pipe ? "float" : "int8");
     }
   }
   obs::set_enabled(was_enabled);
 }
 
 TEST(Pipeline, Int8ClassifyReadsTheLiveThreshold) {
+  // The quantized pipeline shares the float one's detectors, so a
+  // threshold set on the float pipeline afterwards is the one it reports.
   const Tensor x = small_images(6, 12);
   MagNetPipeline pipe = make_pipeline(mnist_bank(true), x);
+  const auto qpipe = pipe.quantized(x);
   pipe.detector(0).set_threshold(0.123f);
-  const DefenseOutcome out =
-      pipe.classify(x, DefenseScheme::Full, ExecMode::Int8);
+  const DefenseOutcome out = qpipe->classify(x, DefenseScheme::Full);
   EXPECT_EQ(out.readings[0].threshold, 0.123f);
 }
 
@@ -568,15 +571,16 @@ TEST(Pipeline, ClassifyMatchesStandaloneStagesBitwise) {
     qb.shallow = q(fb.shallow);
     add_detectors(qb, cifar, /*jsd=*/true);
 
-    for (const ExecMode mode : {ExecMode::Float, ExecMode::Int8}) {
-      const Bank& ref = mode == ExecMode::Float ? fb : qb;
+    const std::shared_ptr<const MagNetPipeline> qpipe = pipe.quantized(calib);
+    for (const MagNetPipeline* run : {&pipe, qpipe.get()}) {
+      const Bank& ref = run == &pipe ? fb : qb;
       for (const DefenseScheme scheme :
            {DefenseScheme::None, DefenseScheme::DetectorOnly,
             DefenseScheme::ReformerOnly, DefenseScheme::Full}) {
         const std::string what = std::string(cifar ? "CIFAR" : "MNIST") +
-                                 ", " + to_string(mode) + ", " +
-                                 to_string(scheme);
-        const DefenseOutcome out = pipe.classify(x, scheme, mode);
+                                 ", " + (run == &pipe ? "float" : "int8") +
+                                 ", " + to_string(scheme);
+        const DefenseOutcome out = run->classify(x, scheme);
         const bool detect = scheme == DefenseScheme::DetectorOnly ||
                             scheme == DefenseScheme::Full;
         const bool reform = scheme == DefenseScheme::ReformerOnly ||
@@ -640,8 +644,12 @@ TEST(Autoencoder, DeepArchHasBottleneck) {
 
 TEST(MeanReconstructionError, ZeroForIdentity) {
   auto ae = identity_ae();
-  Tensor x({4, 1, 1, 1}, 0.7f);
-  EXPECT_NEAR(mean_reconstruction_error(*ae, x), 0.0f, 1e-6f);
+  const Tensor x({4, 1, 1, 1}, 0.7f);
+  for (const int p : {1, 2}) {
+    EXPECT_EQ(recon_error(x, nn::predict(*ae, x), p),
+              std::vector<float>(4, 0.0f))
+        << "p = " << p;
+  }
 }
 
 }  // namespace

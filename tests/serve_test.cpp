@@ -122,32 +122,18 @@ class ServeTest : public ::testing::Test {
 
 TEST_F(ServeTest, ClassifyRequestRoundTrips) {
   const Tensor batch = rows_tensor(3, 0.25f);
-  const auto body =
-      encode_classify_request(DefenseScheme::DetectorOnly, batch);
-  const Request req = decode_request(body);
-  EXPECT_EQ(req.type, MessageType::Classify);
-  EXPECT_EQ(req.scheme, DefenseScheme::DetectorOnly);
-  ASSERT_EQ(req.batch.shape(), batch.shape());
-  EXPECT_EQ(std::memcmp(req.batch.data(), batch.data(),
-                        batch.numel() * sizeof(float)),
-            0);
-}
-
-TEST_F(ServeTest, QuantBitRoundTripsAndLegacyFramesDecodeFloat) {
-  const Tensor batch = rows_tensor(2, 0.25f);
-  // Marked frame: high bit set on the scheme byte, low bits intact.
-  const auto marked = encode_classify_request(DefenseScheme::Full, batch,
-                                              /*deadline_ms=*/0,
-                                              /*quantized=*/true);
-  const Request rq = decode_request(marked);
-  EXPECT_TRUE(rq.quantized);
-  EXPECT_EQ(rq.scheme, DefenseScheme::Full);
-  // Unmarked frame — exactly what pre-quantization encoders emitted —
-  // decodes as float execution (wire compatibility by construction).
-  const Request rf =
-      decode_request(encode_classify_request(DefenseScheme::Full, batch));
-  EXPECT_FALSE(rf.quantized);
-  EXPECT_EQ(rf.scheme, DefenseScheme::Full);
+  for (const DefenseScheme scheme :
+       {DefenseScheme::None, DefenseScheme::DetectorOnly,
+        DefenseScheme::ReformerOnly, DefenseScheme::Full}) {
+    const auto body = encode_classify_request(scheme, batch);
+    const Request req = decode_request(body);
+    EXPECT_EQ(req.type, MessageType::Classify);
+    EXPECT_EQ(req.scheme, scheme);
+    ASSERT_EQ(req.batch.shape(), batch.shape());
+    EXPECT_EQ(std::memcmp(req.batch.data(), batch.data(),
+                          batch.numel() * sizeof(float)),
+              0);
+  }
 }
 
 TEST_F(ServeTest, PingRequestRoundTrips) {
@@ -283,44 +269,6 @@ TEST_F(ServeTest, MixedSchemesServedCorrectly) {
         batcher.submit(rows_tensor(1, 0.04f * i), schemes[i % 4]));
   }
   for (std::size_t i = 0; i < 16; ++i) {
-    const ServeResult r = futures[i].get();
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, serial[i])) << i;
-  }
-}
-
-TEST_F(ServeTest, MixedExecModesServedCorrectly) {
-  // One pipeline with a prepared int8 bank; float and int8 submissions
-  // interleave through one batcher and each must match its serial answer
-  // bitwise (the coalescing key includes the exec mode, so a batch never
-  // mixes banks).
-  auto clf = threshold_classifier();
-  auto ae = scaling_ae(0.5f);
-  auto pipe = std::make_shared<MagNetPipeline>(clf);
-  auto det = std::make_shared<magnet::ReconstructionDetector>(ae, 1);
-  det->set_threshold(0.2f);
-  pipe->add_detector(det);
-  pipe->set_reformer(std::make_shared<magnet::Reformer>(ae));
-  pipe->prepare_quantized(rows_tensor(8, 0.05f));
-  std::shared_ptr<const MagNetPipeline> cpipe = pipe;
-
-  std::vector<DefenseOutcome> serial;
-  for (std::size_t i = 0; i < 12; ++i) {
-    const auto mode =
-        i % 2 == 0 ? magnet::ExecMode::Float : magnet::ExecMode::Int8;
-    serial.push_back(
-        cpipe->classify(rows_tensor(1, 0.04f * i), DefenseScheme::Full, mode));
-  }
-  MicroBatcher batcher([cpipe] { return cpipe; },
-                       {8, std::chrono::microseconds{1000}});
-  std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < 12; ++i) {
-    const auto mode =
-        i % 2 == 0 ? magnet::ExecMode::Float : magnet::ExecMode::Int8;
-    futures.push_back(
-        batcher.submit(rows_tensor(1, 0.04f * i), DefenseScheme::Full, mode));
-  }
-  for (std::size_t i = 0; i < 12; ++i) {
     const ServeResult r = futures[i].get();
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, serial[i])) << i;
@@ -541,65 +489,44 @@ TEST_F(ServeTest, DaemonServesClassifyAndPing) {
   }
 }
 
-std::shared_ptr<const MagNetPipeline> build_quant_pipeline() {
-  auto clf = threshold_classifier();
-  auto ae = scaling_ae(0.5f);
-  auto pipe = std::make_shared<MagNetPipeline>(clf);
-  auto det = std::make_shared<magnet::ReconstructionDetector>(ae, 1);
-  det->set_threshold(0.2f);
-  pipe->add_detector(det);
-  pipe->set_reformer(std::make_shared<magnet::Reformer>(ae));
-  pipe->prepare_quantized(rows_tensor(8, 0.05f));
-  return pipe;
-}
-
 TEST_F(ServeTest, QuantizedAndFloatClassifyBothRoundTripOverWire) {
-  auto pipe = build_quant_pipeline();
-  ServeConfig cfg;
-  cfg.socket_path = test_socket_path();
-  cfg.batch = {4, std::chrono::microseconds{100}};
-  ServeDaemon daemon([pipe] { return pipe; }, cfg);
-  daemon.start();
-
-  ServeClient client(cfg.socket_path);
+  // serve_daemon serves whichever pipeline its factory returns: the float
+  // one, or (--quant) its quantized() twin. Each daemon must answer
+  // exactly what that pipeline computes in-process; the references come
+  // from separate instances, computed before the daemon runs.
+  const Tensor calib = rows_tensor(8, 0.05f);
   const Tensor x = rows_tensor(3, 0.15f);
-  const ClassifyResponse rf = client.classify(x, DefenseScheme::Full);
-  const ClassifyResponse ri =
-      client.classify(x, DefenseScheme::Full, /*deadline_ms=*/0,
-                      /*quantized=*/true);
-  ASSERT_TRUE(rf.ok) << rf.error;
-  ASSERT_TRUE(ri.ok) << ri.error;
-  // Both responses carry detector readings and match their serial bank.
-  EXPECT_FALSE(rf.outcome.readings.empty());
-  EXPECT_FALSE(ri.outcome.readings.empty());
-  EXPECT_TRUE(outcomes_bitwise_equal(
-      rf.outcome,
-      pipe->classify(x, DefenseScheme::Full, magnet::ExecMode::Float)));
-  EXPECT_TRUE(outcomes_bitwise_equal(
-      ri.outcome,
-      pipe->classify(x, DefenseScheme::Full, magnet::ExecMode::Int8)));
-  daemon.stop();
-}
+  for (const bool quant : {false, true}) {
+    const auto ref =
+        quant ? build_pipeline()->quantized(calib) : build_pipeline();
+    const DefenseOutcome expected = ref->classify(x, DefenseScheme::Full);
+    const std::uint64_t int8_rows = counter_value("quant/classify_rows");
 
-TEST_F(ServeTest, QuantDefaultModeAppliesToUnmarkedRequests) {
-  // serve_daemon --quant: unmarked requests follow the daemon default
-  // (int8 here); marked requests run int8 regardless.
-  auto pipe = build_quant_pipeline();
-  ServeConfig cfg;
-  cfg.socket_path = test_socket_path();
-  cfg.batch = {4, std::chrono::microseconds{100}};
-  cfg.default_mode = magnet::ExecMode::Int8;
-  ServeDaemon daemon([pipe] { return pipe; }, cfg);
-  daemon.start();
+    const auto pipe = build_pipeline();
+    ServeConfig cfg;
+    cfg.socket_path = test_socket_path();
+    cfg.batch = {4, std::chrono::microseconds{100}};
+    ServeDaemon daemon(
+        [pipe, calib, quant]() -> std::shared_ptr<const MagNetPipeline> {
+          if (!quant) return pipe;
+          return pipe->quantized(calib);
+        },
+        cfg);
+    daemon.start();
+    ServeClient client(cfg.socket_path);
+    const ClassifyResponse r = client.classify(x, DefenseScheme::Full);
+    daemon.stop();
 
-  ServeClient client(cfg.socket_path);
-  const Tensor x = rows_tensor(2, 0.35f);
-  const ClassifyResponse unmarked = client.classify(x, DefenseScheme::Full);
-  ASSERT_TRUE(unmarked.ok) << unmarked.error;
-  EXPECT_TRUE(outcomes_bitwise_equal(
-      unmarked.outcome,
-      pipe->classify(x, DefenseScheme::Full, magnet::ExecMode::Int8)));
-  daemon.stop();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.outcome.readings.empty());
+    EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, expected))
+        << (quant ? "int8" : "float");
+    if (obs::enabled()) {
+      // Only the quantized daemon ran int8 models.
+      EXPECT_EQ(counter_value("quant/classify_rows") - int8_rows,
+                quant ? x.dim(0) : 0u);
+    }
+  }
 }
 
 TEST_F(ServeTest, GarbageBytesDropConnectionCleanly) {
@@ -644,47 +571,68 @@ TEST_F(ServeTest, TruncatedFrameThenDisconnect) {
   fx.expect_alive();
 }
 
+/// Sends `body` as one request frame over a raw connection.
+void send_request(RawConnection& raw, const std::vector<std::uint8_t>& body) {
+  const std::uint32_t header[3] = {kRequestMagic, kProtocolVersion,
+                                   static_cast<std::uint32_t>(body.size())};
+  raw.send_bytes(header, sizeof(header));
+  raw.send_bytes(body.data(), body.size());
+}
+
+/// Reads one whole response frame; fails the test if the daemon hangs up.
+ClassifyResponse read_response(RawConnection& raw) {
+  const auto read_exactly = [&raw](void* out, std::size_t len) {
+    auto* p = static_cast<std::uint8_t*>(out);
+    for (std::size_t got = 0; got < len;) {
+      const std::size_t r = raw.recv_some(p + got, len - got);
+      if (r == 0) throw std::runtime_error("daemon closed, no response");
+      got += r;
+    }
+  };
+  std::uint32_t header[3];
+  read_exactly(header, sizeof(header));
+  EXPECT_EQ(header[0], kResponseMagic);
+  std::vector<std::uint8_t> body(header[2]);
+  read_exactly(body.data(), body.size());
+  return decode_response(body);
+}
+
 TEST_F(ServeTest, UndecodableBodyGetsErrorAndKeepsConnection) {
   DaemonFixture fx;
   RawConnection raw(fx.cfg.socket_path);
-  // Well-framed body whose type byte is unknown.
-  const std::uint8_t bad_type = 9;
-  const std::uint32_t header[3] = {kRequestMagic, kProtocolVersion, 1};
-  raw.send_bytes(header, sizeof(header));
-  raw.send_bytes(&bad_type, 1);
-  // Expect a complete error-response frame back.
-  std::uint32_t resp_header[3];
-  std::size_t got = 0;
-  auto* p = reinterpret_cast<std::uint8_t*>(resp_header);
-  while (got < sizeof(resp_header)) {
-    const std::size_t r = raw.recv_some(p + got, sizeof(resp_header) - got);
-    ASSERT_GT(r, 0u) << "daemon closed instead of answering";
-    got += r;
-  }
-  EXPECT_EQ(resp_header[0], kResponseMagic);
-  std::vector<std::uint8_t> body(resp_header[2]);
-  got = 0;
-  while (got < body.size()) {
-    const std::size_t r = raw.recv_some(body.data() + got, body.size() - got);
-    ASSERT_GT(r, 0u);
-    got += r;
-  }
-  const ClassifyResponse resp = decode_response(body);
-  EXPECT_FALSE(resp.ok);
+  // Well-framed body whose type byte is unknown: an error response.
+  send_request(raw, {9});
+  EXPECT_FALSE(read_response(raw).ok);
   // Framing stayed intact: the SAME connection still serves a valid ping.
-  const auto ping = encode_ping_request();
-  const std::uint32_t ping_header[3] = {
-      kRequestMagic, kProtocolVersion, static_cast<std::uint32_t>(ping.size())};
-  raw.send_bytes(ping_header, sizeof(ping_header));
-  raw.send_bytes(ping.data(), ping.size());
-  got = 0;
-  while (got < sizeof(resp_header)) {
-    const std::size_t r = raw.recv_some(p + got, sizeof(resp_header) - got);
-    ASSERT_GT(r, 0u);
-    got += r;
-  }
-  EXPECT_EQ(resp_header[0], kResponseMagic);
+  send_request(raw, encode_ping_request());
+  const ClassifyResponse ping = read_response(raw);
+  EXPECT_TRUE(ping.ok);
+  EXPECT_EQ(ping.type, MessageType::Ping);
   fx.expect_alive();
+}
+
+TEST_F(ServeTest, RetiredQuantBitIsRejectedAndKeepsConnection) {
+  // The scheme byte carries a DefenseScheme only. A frame with the old
+  // 0x80 int8 bit set is a body-level protocol error: the client gets an
+  // error response and the connection keeps serving.
+  DaemonFixture fx;
+  const Tensor x = rows_tensor(2, 0.3f);
+  const DefenseOutcome expected = fx.pipe->classify(x, DefenseScheme::Full);
+  RawConnection raw(fx.cfg.socket_path);
+  std::vector<std::uint8_t> marked =
+      encode_classify_request(DefenseScheme::Full, x);
+  marked[1] |= 0x80;  // [u8 type][u8 scheme]...
+  send_request(raw, marked);
+  const ClassifyResponse rejected = read_response(raw);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.status, Status::Error);
+  EXPECT_NE(rejected.error.find("invalid defense scheme"), std::string::npos)
+      << rejected.error;
+
+  send_request(raw, encode_classify_request(DefenseScheme::Full, x));
+  const ClassifyResponse served = read_response(raw);
+  ASSERT_TRUE(served.ok) << served.error;
+  EXPECT_TRUE(outcomes_bitwise_equal(served.outcome, expected));
 }
 
 TEST_F(ServeTest, AbuseBarrageNeverWedgesBatcher) {
@@ -824,7 +772,6 @@ TEST_F(ServeTest, DeadlineExpiresInQueueWithoutForwardPass) {
   while (batcher.pending() != 0) std::this_thread::yield();
 
   auto doomed = batcher.submit(rows_tensor(1, 0.2f), DefenseScheme::Full,
-                               magnet::ExecMode::Float,
                                std::chrono::milliseconds(20));
   auto patient = batcher.submit(rows_tensor(1, 0.3f), DefenseScheme::Full);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));  // budget gone

@@ -15,10 +15,10 @@
 // --max-queue-rows bounds the admission queue (requests past it are shed
 // with Overloaded); --watchdog-ms > 0 arms the batch watchdog (a stuck
 // forward pass fails its batch and the daemon keeps serving). --quant
-// makes int8 the default execution mode: requests that don't set the
-// wire's kSchemeQuantBit run on the quantized pipeline (requests that DO
-// set the bit run int8 either way; detector thresholds stay float-
-// calibrated — DESIGN.md §17). See DESIGN.md §15 and serve/batcher.hpp.
+// serves the int8 pipeline (MagNetPipeline::quantized, calibrated on
+// core::quant_calibration) instead of the float one, for every request;
+// detector thresholds stay float-calibrated (DESIGN.md §17). See
+// DESIGN.md §15 and serve/batcher.hpp.
 //
 // Talk to it with serve::ServeClient (bench/serve_bench.cpp is the
 // reference driver). REPRO_SCALE / REPRO_CACHE_DIR select the model scale
@@ -43,7 +43,8 @@ int usage(const char* argv0) {
                "usage: %s --socket PATH [--dataset mnist|cifar]\n"
                "          [--variant default|jsd|wide|wide-jsd]\n"
                "          [--max-batch N] [--deadline-us N]\n"
-               "          [--max-queue-rows N] [--watchdog-ms N] [--quant]\n",
+               "          [--max-queue-rows N] [--watchdog-ms N] [--quant]\n"
+               "--quant serves every request on the int8 pipeline\n",
                argv0);
   return 2;
 }
@@ -54,6 +55,7 @@ int main(int argc, char** argv) {
   std::filesystem::path socket_path;
   core::DatasetId dataset = core::DatasetId::Mnist;
   core::MagnetVariant variant = core::MagnetVariant::Default;
+  bool quant = false;
   serve::ServeConfig cfg;
 
   for (int i = 1; i < argc; ++i) {
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
       cfg.batch.watchdog_timeout = std::chrono::milliseconds(std::atol(val));
       ++i;
     } else if (arg == "--quant") {
-      cfg.default_mode = magnet::ExecMode::Int8;
+      quant = true;
     } else {
       return usage(argv[0]);
     }
@@ -121,9 +123,11 @@ int main(int argc, char** argv) {
 
   auto zoo = std::make_shared<core::ModelZoo>(core::scale_from_env());
   serve::ServeDaemon daemon(
-      [zoo, dataset, variant]()
+      [zoo, dataset, variant, quant]()
           -> std::shared_ptr<const magnet::MagNetPipeline> {
-        return core::build_magnet(*zoo, dataset, variant);
+        auto pipe = core::build_magnet(*zoo, dataset, variant);
+        if (!quant) return pipe;
+        return pipe->quantized(core::quant_calibration(*zoo, dataset));
       },
       cfg);
   daemon.start();
@@ -135,7 +139,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(cfg.batch.flush_deadline.count()),
       cfg.batch.max_queue_rows,
       static_cast<long long>(cfg.batch.watchdog_timeout.count()),
-      magnet::to_string(cfg.default_mode));
+      quant ? "int8" : "float");
   std::fflush(stdout);
 
   int sig = 0;
